@@ -13,6 +13,7 @@ from .errors import (
     AxiomViolation,
     BasisMismatch,
     CaseMismatch,
+    DependentRoots,
     DirectionNotDecidable,
     DivisionByZero,
     HypothesisViolated,
@@ -24,6 +25,7 @@ from .errors import (
     NotAShadowPattern,
     NotRealRoot,
     NotUniformlyHybrid,
+    OutsideSpan,
     OutsideWindow,
     RankError,
     SuperrootsError,

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .errors import BasisMismatch, NotAFiniteRootSystem
+from .errors import DependentRoots, NotAFiniteRootSystem, OutsideSpan
 from .finite import FiniteRootSet
-from .linalg import solve
+# solve stays bound here for the benchmark tracer, whose self-test wraps it at
+# every module that imports it
+from .linalg import Factor, factor, solve  # noqa: F401
 from .roots import Root
 
 
@@ -39,31 +41,32 @@ def find_base(rs: FiniteRootSet) -> tuple[Root, ...]:
     return tuple(sorted(base, key=lambda r: r.key()))
 
 
+def factor_roots(roots: tuple[Root, ...]) -> Factor:
+    """Factorisation for expanding vectors over ``roots`` by ``Root.vector``.
+
+    The delta and sigma multiplicities are coordinates like the finite
+    ones, so an expansion has to match them too.  Raises DependentRoots
+    when the roots are linearly dependent, since an expansion over them
+    would not be unique.
+    """
+    fac = factor([list(row) for row in zip(*(r.vector() for r in roots))])
+    if fac is None:
+        raise DependentRoots(f"{len(roots)} roots are linearly dependent")
+    return fac
+
+
 def expand_in_base(base: tuple[Root, ...], target: Root) -> tuple[Q, ...] | None:
     """Coefficients of target over the base vectors, or None if outside."""
     if not base:
         return None
-    dim = len(base[0].coords)
-    rows = [[b.coords[i] for b in base] for i in range(dim)]
-    rhs = [target.coords[i] for i in range(dim)]
-    sol = solve([row[:] for row in rows], rhs[:])
-    if sol is None:
-        return None
-    # verify (solve guarantees consistency, but the system may be square-
-    # deficient for non-spanning bases; recompute to be safe)
-    for i in range(dim):
-        acc = Q(0)
-        for c, b in zip(sol, base):
-            acc += c * b.coords[i]
-        if acc != target.coords[i]:
-            return None
-    return tuple(sol)
+    sol = factor_roots(base).solve(target.vector())
+    return None if sol is None else tuple(sol)
 
 
 def integer_expansion(base: tuple[Root, ...], target: Root) -> tuple[int, ...]:
     coeffs = expand_in_base(base, target)
     if coeffs is None:
-        raise BasisMismatch(f"{target} is not in the base span")
+        raise OutsideSpan(f"{target} is not in the base span")
     out = []
     for c in coeffs:
         if c.denominator != 1:

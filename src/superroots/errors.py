@@ -35,6 +35,14 @@ class BasisMismatch(SuperrootsError):
     """Operands live over different ambient bases."""
 
 
+class OutsideSpan(BasisMismatch):
+    """Vector lies outside the span of the roots it is to be expanded over."""
+
+
+class DependentRoots(SuperrootsError):
+    """Roots that must be linearly independent (a functional's basis, a base) are not."""
+
+
 class RankError(SuperrootsError):
     """Type constructor called with ranks outside its domain of definition."""
 

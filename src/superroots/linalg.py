@@ -8,6 +8,7 @@ elimination is all we need.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 Q = Fraction
 
@@ -107,6 +108,52 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     for i, c in pivots:
         x[c] = m[i][cols]
     return x
+
+
+class Factor(NamedTuple):
+    """Exact factorisation of a matrix ``a`` with independent columns.
+
+    ``left @ a`` is the identity and ``kernel @ a`` is zero, so ``a @ x = b``
+    is solvable exactly when ``kernel @ b == 0``, and then ``x = left @ b``.
+    """
+
+    left: Matrix
+    kernel: Matrix
+
+    def solve(self, b: Vector) -> Vector | None:
+        if any(dot(row, b) for row in self.kernel):
+            return None
+        return [dot(row, b) for row in self.left]
+
+
+def factor(a: Matrix) -> Factor | None:
+    """One Gauss-Jordan pass over ``[a | I]``; None when the columns of a are dependent.
+
+    Row reduction brings ``[a | I]`` to ``[[I, L], [0, N]]``; the row
+    operations ``[L; N]`` are invertible, so every right-hand side can be
+    answered afterwards by ``Factor.solve`` without eliminating again.
+    """
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    if cols > rows:
+        return None
+    m = [[Q(x) for x in a[i]] + [Q(int(i == j)) for j in range(rows)] for i in range(rows)]
+    for c in range(cols):
+        pivot = next((i for i in range(c, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = m[c][c]
+        m[c] = [v / inv for v in m[c]]
+        for i in range(rows):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return Factor([row[cols:] for row in m[:cols]], [row[cols:] for row in m[cols:]])
+
+
+def dot(u: Vector, v: Vector) -> Q:
+    return sum((x * y for x, y in zip(u, v) if x and y), Q(0))
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

@@ -76,6 +76,10 @@ class Root:
     def shift(self, dk: int) -> "Root":
         return Root(self.coords, self.k + dk, self.sigma)
 
+    def vector(self) -> tuple:
+        """Finite coordinates, then the delta and sigma multiplicities."""
+        return self.coords + (self.k, self.sigma)
+
     def key(self) -> tuple:
         """Deterministic sort key."""
         return (self.coords, self.k, self.sigma)

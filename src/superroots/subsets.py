@@ -10,7 +10,7 @@ the shape the parabolic construction consumes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 
@@ -130,6 +130,10 @@ class Component:
     dot: FiniteRootSet
     vectors: tuple[Root, ...]  # nonzero finite vectors, negation-closed
     subset: RootSubset  # full lines over the vectors, zero line included
+    # zeta.select_base's P-independent base catalogue, per kcap; filled lazily
+    _catalogue: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,18 @@ Normalisation (stated for the upward direction; downward mirrors k):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import ceil, floor
+from typing import NamedTuple
 
 from .affine import AffineRootSystem
-from .basefind import find_base, highest_root
-from .errors import BasisMismatch, CaseMismatch, NoCompatibleBase
+from .basefind import factor_roots, find_base, highest_root
+from .errors import BasisMismatch, CaseMismatch, NoCompatibleBase, OutsideSpan
 from .intsets import IntegerSet
-from .linalg import solve
+# solve stays bound here for the benchmark tracer, whose self-test wraps it at
+# every module that imports it
+from .linalg import dot, solve  # noqa: F401
 from .roots import Root
 from .shadows import DOWN, UP
 from .subsets import Component, RootSubset
@@ -34,32 +37,31 @@ from .subsets import Component, RootSubset
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Rational functional given by values on an independent root list."""
+    """Rational functional given by values on an independent root list.
+
+    The basis is factored once, when the functional is built: the value of
+    a root is one dot product with the covector ``values @ L``, after the
+    kernel rows ``N`` have confirmed that the root lies in the span.
+    """
 
     basis_roots: tuple[Root, ...]
     values: tuple[Q, ...]
+    _covector: tuple[Q, ...] = field(init=False, repr=False, compare=False)
+    _kernel: tuple[tuple[Q, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def _expand(self, r: Root) -> tuple[Q, ...] | None:
-        dim = len(self.basis_roots[0].coords)
-        rows = [[b.coords[i] for b in self.basis_roots] for i in range(dim)]
-        rows.append([Q(b.k) for b in self.basis_roots])
-        rhs = [r.coords[i] for i in range(dim)] + [Q(r.k)]
-        sol = solve([row[:] for row in rows], rhs[:])
-        if sol is None:
-            return None
-        for i in range(dim):
-            acc = sum((c * b.coords[i] for c, b in zip(sol, self.basis_roots)), Q(0))
-            if acc != r.coords[i]:
-                return None
-        if sum((c * Q(b.k) for c, b in zip(sol, self.basis_roots)), Q(0)) != Q(r.k):
-            return None
-        return tuple(sol)
+    def __post_init__(self):
+        fac = factor_roots(self.basis_roots)
+        covector = tuple(dot(self.values, column) for column in zip(*fac.left))
+        object.__setattr__(self, "_covector", covector)
+        object.__setattr__(self, "_kernel", tuple(tuple(row) for row in fac.kernel))
 
     def value(self, r: Root) -> Q:
-        coeffs = self._expand(r)
-        if coeffs is None:
-            raise BasisMismatch(f"{r} is outside the functional's span")
-        return sum((c * v for c, v in zip(coeffs, self.values)), Q(0))
+        vec = r.vector()
+        if len(vec) != len(self._covector):
+            raise BasisMismatch(f"{r} does not live over the functional's basis")
+        if any(dot(row, vec) for row in self._kernel):
+            raise OutsideSpan(f"{r} is outside the functional's span")
+        return dot(self._covector, vec)
 
     def mirrored(self) -> "LinearFunctional":
         return LinearFunctional(
@@ -94,22 +96,6 @@ class BaseChoice:
         return delta - self.a0
 
 
-def _expand_over(elements: tuple[Root, ...], target: Root) -> tuple[Q, ...] | None:
-    dim = len(target.coords)
-    rows = [[e.coords[i] for e in elements] for i in range(dim)]
-    rows.append([Q(e.k) for e in elements])
-    rhs = [target.coords[i] for i in range(dim)] + [Q(target.k)]
-    sol = solve([row[:] for row in rows], rhs[:])
-    if sol is None:
-        return None
-    for i in range(dim):
-        if sum((c * e.coords[i] for c, e in zip(sol, elements)), Q(0)) != target.coords[i]:
-            return None
-    if sum((c * Q(e.k) for c, e in zip(sol, elements)), Q(0)) != Q(target.k):
-        return None
-    return tuple(sol)
-
-
 def _candidate_bases(system: AffineRootSystem, comp: Component, kcap: int):
     """All delta-shifted simple systems reachable by reflections, capped."""
     dot_base = find_base(comp.dot)
@@ -141,6 +127,57 @@ def _strictly_positive(P: RootSubset, r: Root) -> bool:
     return P.contains(r) and not P.contains(-r)
 
 
+class _Candidate(NamedTuple):
+    """An orbit base that passes every test not involving P."""
+
+    elements: tuple[int, ...]  # indices into _BaseCatalogue.roots
+    marks: tuple[int, ...]  # delta-expansion coefficients, all >= 1
+    thresholds: tuple[int, ...]  # th(f) for f in comp.vectors, in order
+
+
+class _BaseCatalogue(NamedTuple):
+    """The part of the base search that depends on the component and kcap only."""
+
+    searched: int  # orbit size
+    roots: tuple[Root, ...]  # every element of a candidate, once
+    lines: tuple[Root, ...]  # the level-0 line of each component vector
+    candidates: tuple[_Candidate, ...]  # in orbit (element key) order
+
+
+def _base_catalogue(system: AffineRootSystem, comp: Component, kcap: int) -> _BaseCatalogue:
+    """Orbit bases with positive integral marks and thresholds th(f) + th(-f) = 1.
+
+    Each base is factored once; delta and every line are expanded over it.
+    The line threshold th(f) is the least k with f + k*delta positive.
+    """
+    orbit = _candidate_bases(system, comp, kcap)
+    lines = tuple(Root(f.coords, 0, f.sigma) for f in comp.vectors)
+    opposite = [comp.vectors.index(-f) for f in comp.vectors]
+    index: dict[Root, int] = {}
+    candidates = []
+    for elements in orbit:
+        fac = factor_roots(elements)
+        marks = fac.solve(system.delta.vector())
+        if marks is None or any(m.denominator != 1 or m <= 0 for m in marks):
+            continue
+        thresholds = []
+        for line in lines:
+            xs = fac.solve(line.vector())
+            if xs is None:
+                break
+            thresholds.append(max(ceil(-x / m) for x, m in zip(xs, marks)))
+        else:
+            if all(thresholds[i] + thresholds[j] == 1 for i, j in enumerate(opposite)):
+                candidates.append(
+                    _Candidate(
+                        tuple(index.setdefault(e, len(index)) for e in elements),
+                        tuple(int(m) for m in marks),
+                        tuple(thresholds),
+                    )
+                )
+    return _BaseCatalogue(len(orbit), tuple(index), lines, tuple(candidates))
+
+
 def select_base(
     system: AffineRootSystem, comp: Component, P: RootSubset
 ) -> BaseChoice:
@@ -150,6 +187,10 @@ def select_base(
     on every line, positive imaginary levels included.  Among compatible
     choices, prefer a larger ``t`` and break ties by the sorted element
     keys, so the result is deterministic.
+
+    The P-independent work is the component's base catalogue, built on the
+    first call for each ``kcap`` and kept on the component; a call itself
+    only tests the catalogue's thresholds and elements against P.
     """
     kcap = 3
     for ks in P.lines.values():
@@ -157,60 +198,38 @@ def select_base(
             kcap = max(kcap, abs(ks.up) + 2)
         if ks.down is not None:
             kcap = max(kcap, abs(ks.down) + 2)
-    searched = 0
-    best: tuple | None = None
-    for elements in _candidate_bases(system, comp, kcap):
-        searched += 1
-        marks_q = _expand_over(elements, system.delta)
-        if marks_q is None or any(m.denominator != 1 or m <= 0 for m in marks_q):
-            continue
-        marks = tuple(int(m) for m in marks_q)
-        # line thresholds: f + k*delta is positive iff k >= th(f)
-        thresholds = {}
-        valid = True
-        for f in comp.vectors:
-            xs = _expand_over(elements, Root(f.coords, 0, f.sigma))
-            if xs is None:
-                valid = False
-                break
-            th = max(ceil(-x / m) for x, m in zip(xs, marks_q))
-            thresholds[f] = th
-        if not valid:
-            continue
-        for f in comp.vectors:
-            if thresholds[f] + thresholds[-f] != 1:
-                valid = False
-                break
-        if not valid:
-            continue
-        # compatibility with P, line by line (exact)
-        for f in comp.vectors:
-            line = Root(f.coords, 0, f.sigma)
-            if not IntegerSet.at_least(thresholds[f]).is_subset(P.levels(line)):
-                valid = False
-                break
-        if valid and not IntegerSet.at_least(1).is_subset(P.levels(system.zero_root)):
-            valid = False
-        if not valid:
-            continue
-        for i, (e, m) in enumerate(zip(elements, marks)):
-            if m != 1:
+    cat = comp._catalogue.get(kcap)
+    if cat is None:
+        cat = comp._catalogue[kcap] = _base_catalogue(system, comp, kcap)
+    best = None
+    if IntegerSet.at_least(1).is_subset(P.levels(system.zero_root)):
+        levels = [P.levels(line) for line in cat.lines]
+        positive: list[bool | None] = [None] * len(cat.roots)
+
+        def is_positive(e: int) -> bool:
+            if positive[e] is None:
+                positive[e] = _strictly_positive(P, cat.roots[e])
+            return positive[e]
+
+        for cand in cat.candidates:
+            if not all(
+                IntegerSet.at_least(th).is_subset(ks) for th, ks in zip(cand.thresholds, levels)
+            ):
                 continue
-            u = 1 if _strictly_positive(P, e) else 0
-            t = sum(
-                1
-                for j, ej in enumerate(elements)
-                if j != i and _strictly_positive(P, ej)
-            )
-            score = (-t, tuple(x.key() for x in elements), i)
-            if best is None or score < best[0]:
-                best = (score, elements, marks, i, t, u)
+            total = sum(is_positive(e) for e in cand.elements)
+            for i, (e, m) in enumerate(zip(cand.elements, cand.marks)):
+                if m != 1:
+                    continue
+                u = int(is_positive(e))
+                # the first maximal t wins: candidates come in key order
+                if best is None or total - u > best[0]:
+                    best = (total - u, cand, i, u)
     if best is None:
         raise NoCompatibleBase(
-            f"no compatible shifted base for component {comp.index}", searched=searched
+            f"no compatible shifted base for component {comp.index}", searched=cat.searched
         )
-    _, elements, marks, i, t, u = best
-    return BaseChoice(elements, marks, i, t, u)
+    t, cand, i, u = best
+    return BaseChoice(tuple(cat.roots[e] for e in cand.elements), cand.marks, i, t, u)
 
 
 @dataclass(frozen=True)

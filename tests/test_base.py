@@ -14,7 +14,9 @@ import pytest
 
 from superroots import (
     BasisMismatch,
+    DependentRoots,
     NotAFiniteRootSystem,
+    OutsideSpan,
     build_finite,
     expand_in_base,
     find_base,
@@ -92,6 +94,14 @@ def test_integer_expansion_errors():
         integer_expansion(base, root(1, 0))
     with pytest.raises(BasisMismatch):
         integer_expansion((root(1, 0, 0),), root(0, 1, 0))
+    with pytest.raises(OutsideSpan):
+        integer_expansion((root(1, 0, 0),), root(0, 1, 0))
+
+
+def test_expansion_over_dependent_roots_raises():
+    # over (e1, 2e1) the expansion of e1 is not unique
+    with pytest.raises(DependentRoots):
+        expand_in_base((root(1, 0), root(2, 0)), root(1, 0))
 
 
 def test_highest_root_examples():

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 from hypothesis import given
 from hypothesis import strategies as st
 
-from superroots.linalg import det, mat_vec, rank, solve
+from superroots.linalg import det, factor, mat_vec, rank, solve
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -39,6 +39,21 @@ def test_solve_examples():
     # overdetermined but consistent
     assert solve([[Q(1)], [Q(2)]], [Q(3), Q(6)]) == [Q(3)]
     assert solve([], []) == []
+
+
+def test_factor_examples():
+    # [[1], [2]]: x = b0 when 2*b0 - b1 = 0
+    fac = factor([[Q(1)], [Q(2)]])
+    assert fac.left == [[Q(1), Q(0)]]
+    assert fac.kernel == [[Q(-2), Q(1)]]
+    assert fac.solve([Q(3), Q(6)]) == [Q(3)]
+    assert fac.solve([Q(3), Q(5)]) is None
+    square = factor([[Q(2), Q(0)], [Q(0), Q(3)]])
+    assert square.kernel == [] and square.solve([Q(4), Q(9)]) == [Q(2), Q(3)]
+    # dependent columns, and more columns than rows
+    assert factor([[Q(1), Q(2)], [Q(2), Q(4)]]) is None
+    assert factor([[Q(1), Q(2)]]) is None
+    assert factor([]) == ([], [])
 
 
 def test_mat_vec():
@@ -79,3 +94,26 @@ def test_det_multiplicative(a, b):
 def test_rank_invariant_under_transpose(a):
     t = [[a[j][i] for j in range(3)] for i in range(3)]
     assert rank(a) == rank(t)
+
+
+@st.composite
+def tall_systems(draw):
+    cols = draw(st.integers(1, 3))
+    rows = draw(st.integers(cols, cols + 2))
+    a = draw(matrices(rows, cols))
+    x = draw(st.lists(entries, min_size=cols, max_size=cols))
+    b = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return a, x, b
+
+
+@given(tall_systems())
+def test_factor_agrees_with_solve(system):
+    """factor answers every right-hand side as solve does, planted or not."""
+    a, x, b = system
+    fac = factor(a)
+    assert (fac is None) == (rank(a) < len(a[0]))
+    if fac is None:
+        return
+    for rhs in (mat_vec(a, x), b):
+        assert fac.solve(rhs) == solve(a, rhs)
+    assert fac.solve(mat_vec(a, x)) == x

@@ -23,12 +23,18 @@ from fractions import Fraction as Q
 import pytest
 
 from superroots.affine import build_affine
-from superroots.errors import BasisMismatch, CaseMismatch, NoCompatibleBase
+from superroots.errors import (
+    BasisMismatch,
+    CaseMismatch,
+    DependentRoots,
+    NoCompatibleBase,
+    OutsideSpan,
+)
 from superroots.finite import parse_type_token
 from superroots.intsets import IntegerSet
 from superroots.roots import Root, root
 from superroots.shadows import DOWN, UP, Shadow
-from superroots.subsets import component_parabolic, decompose, even_subset
+from superroots.subsets import RootSubset, component_parabolic, decompose, even_subset
 from superroots.zeta import (
     LinearFunctional,
     ZetaComponent,
@@ -83,6 +89,37 @@ def test_functional_rejects_roots_outside_span():
         func.value(root(0, 1))
     with pytest.raises(BasisMismatch):
         func.value(Root((Q(1), Q(1)), 2, 0))
+    # the span miss is the OutsideSpan kind of mismatch ...
+    with pytest.raises(OutsideSpan):
+        func.value(root(0, 1))
+    # ... unlike a root over another ambient basis
+    with pytest.raises(BasisMismatch) as exc:
+        func.value(root(1, 0, 0))
+    assert not isinstance(exc.value, OutsideSpan)
+
+
+def test_functional_sigma_is_a_coordinate():
+    func = LinearFunctional(
+        (root(-1, 0), Root((Q(1), Q(0)), 1, 0)), (Q(1), Q(1))
+    )
+    assert func.value(Root((Q(1), Q(0)), 2, 0)) == 3
+    # the sigma-carrying twin is outside the span instead of sharing the value
+    with pytest.raises(OutsideSpan):
+        func.value(Root((Q(1), Q(0)), 2, 1))
+    with_sigma = LinearFunctional(
+        (root(-1, 0), Root((Q(1), Q(0)), 1, 0), Root((Q(0), Q(0)), 0, 1)),
+        (Q(1), Q(1), Q(5)),
+    )
+    assert with_sigma.value(Root((Q(1), Q(0)), 2, 1)) == 3 + 5
+
+
+def test_functional_rejects_dependent_basis():
+    # 2*(e1 + delta) = 2*e1 + 2*delta: the values would hang on the list order
+    with pytest.raises(DependentRoots):
+        LinearFunctional(
+            (Root((Q(1), Q(0)), 1, 0), Root((Q(2), Q(0)), 2, 0), root(0, 1)),
+            (Q(1), Q(3), Q(0)),
+        )
 
 
 def test_functional_mirrored_swaps_level_sign():
@@ -135,8 +172,6 @@ def test_select_base_no_compatible_base():
     line_minus = Root((Q(0), Q(-2)), 0, 0)
     line_plus = Root((Q(0), Q(2)), 0, 0)
     # demanding level >= 10 on both sides leaves no threshold pair summing to 1
-    from superroots.subsets import RootSubset
-
     P = RootSubset.of(
         s,
         {
@@ -160,6 +195,41 @@ def test_select_base_no_compatible_base():
     )
     with pytest.raises(NoCompatibleBase):
         select_base(s, comp, P2)
+
+
+def _exhausting_parabolic(system, comp, level):
+    """Every line of the component from ``level`` up: th(f) + th(-f) = 1 cannot fit."""
+    mapping = {system.zero_root: IntegerSet.at_least(0)}
+    for f in comp.vectors:
+        mapping[Root(f.coords, 0, f.sigma)] = IntegerSet.at_least(level)
+    return RootSubset.of(system, mapping)
+
+
+def _base_or_searched(system, comp, P):
+    try:
+        return select_base(system, comp, P)
+    except NoCompatibleBase as exc:
+        return ("no compatible base", exc.searched)
+
+
+@pytest.mark.parametrize("token", ["B,1,1", "D21L", "A,2,1"])
+def test_select_base_warm_matches_cold(token):
+    """A component reused across parabolics (and kcap values) answers like a fresh one."""
+    system = build_affine(parse_type_token(token))
+    subset = even_subset(system)
+    warm = decompose(system, subset, kmax=6).components
+    # kcap 3, 5, 3, 6, 6, 3: found and (on A,2,1's A2 part) exhausted searches
+    plan = [(0, 0), (3, 1), (1, -1), (-3, 0), "exhausting", (0, 0)]
+    for step in plan:
+        if step == "exhausting":
+            parabolics = [_exhausting_parabolic(system, comp, 4) for comp in warm]
+        else:
+            table = hybrid_assignment_shadows(system, warm, [step] * len(warm), UP)
+            parabolics = [component_parabolic(system, comp, table, UP) for comp in warm]
+        cold = decompose(system, subset, kmax=6).components
+        for comp, fresh, P in zip(warm, cold, parabolics):
+            assert _base_or_searched(system, comp, P) == _base_or_searched(system, fresh, P)
+    assert all(sorted(comp._catalogue) == [3, 5, 6] for comp in warm)
 
 
 # -- construct_zeta: frozen fingerprints -------------------------------------------
