@@ -29,6 +29,7 @@ from .errors import (
     OutsideWindow,
     RankError,
     SuperrootsError,
+    TooFewSamples,
 )
 from .finite import (
     FiniteRootSet,

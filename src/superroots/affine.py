@@ -26,7 +26,7 @@ from .roots import (
     format_root,
     reflect as reflect_vector,
 )
-from .scalars import EXCLUDED_LAMBDA, ONE, Scalar
+from .scalars import EXCLUDED_LAMBDA, Scalar
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,6 @@ class AffineRootSystem:
         if self.type_id.family == "ANN":
             return ann_block_traceless(self.basis, r)
         return r
-
-    def line_of(self, r: Root) -> Root:
-        """The (finite vector, sigma) pair as a k=0 root."""
-        c = self.canonicalize(r)
-        return Root(c.coords, 0, c.sigma)
 
     # -- membership and classification -------------------------------------
 
@@ -107,9 +102,6 @@ class AffineRootSystem:
         if f.is_zero_vector():
             return EVEN
         return self.finite.parity(f)
-
-    def is_real(self, r: Root) -> bool:
-        return self.classify(r) == KIND_REAL
 
     # -- structure ----------------------------------------------------------
 

@@ -83,6 +83,10 @@ class HypothesisViolated(SuperrootsError):
         self.witness = witness
 
 
+class TooFewSamples(SuperrootsError):
+    """Caller-supplied parameter samples are too few to decide a polynomial identity in lambda."""
+
+
 class NotAFiniteRootSystem(SuperrootsError):
     """Candidate set fails the finite (crystallographic, reduced) root-system checks."""
 

@@ -8,12 +8,12 @@ are always derived from the bilinear form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
-from itertools import product
+from itertools import count, islice, product
 
-from .errors import NotARoot, RankError
+from .errors import NotARoot, RankError, TooFewSamples
 from .linalg import rank as matrix_rank, det as matrix_det
 from .roots import (
     EVEN,
@@ -147,6 +147,10 @@ class FiniteRootSet:
     roots: tuple[Root, ...]
     odd: frozenset[Root]
     label: str = ""
+    # root_string's alpha-strings, per alpha's coordinates; filled lazily
+    _strings: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     @cached_property
     def members(self) -> frozenset[Root]:
@@ -205,10 +209,6 @@ def _finish(type_id: FiniteTypeId, basis: AmbientBasis, vectors, odd, label: str
         odd_set.add(-v)
     ordered = tuple(sorted(allr, key=lambda r: r.key()))
     return FiniteRootSet(type_id, basis, ordered, frozenset(odd_set), label or type_id.token)
-
-
-def _unit(basis: AmbientBasis, idx: int) -> Root:
-    return basis.unit(idx)
 
 
 def _block_units(basis: AmbientBasis, mb: int, nb: int) -> tuple[list[Root], list[Root]]:
@@ -511,48 +511,68 @@ class AxiomReport:
         )
 
 
-def _multiple_of(candidate: Root, base: Root) -> Q | None:
-    """Return q with candidate == q*base on coordinates, else None."""
-    ratio: Q | None = None
-    for c, b in zip(candidate.coords, base.coords):
-        if b == 0:
-            if c != 0:
-                return None
+def _alpha_strings(rs: FiniteRootSet, alpha: Root) -> tuple[dict, dict]:
+    """The members of ``rs`` split into alpha-strings, memoised on ``rs``.
+
+    With a pivot i where alpha_i != 0 and t = r_i / alpha_i, two members
+    differ by an integer multiple of alpha exactly when r - t*alpha and
+    t mod 1 agree, so that pair keys the string.  Returns ``strings`` (key
+    to the sorted t values of its members) and ``place`` (a member's
+    coordinates to its key and t).  A zero alpha puts every member on its
+    own string.
+    """
+    memo = rs._strings.get(alpha.coords)
+    if memo is not None:
+        return memo
+    pivot = next((i for i, a in enumerate(alpha.coords) if a != 0), None)
+    strings: dict = {}
+    place: dict = {}
+    for r in rs.roots:
+        if pivot is None:
+            key, t = r.coords, Q(0)
         else:
-            q = c / b
-            if ratio is None:
-                ratio = q
-            elif ratio != q:
-                return None
-    if ratio is None:
-        return None
-    return ratio
+            t = r.coords[pivot] / alpha.coords[pivot]
+            key = (tuple(c - t * a for c, a in zip(r.coords, alpha.coords)), t % 1)
+        strings.setdefault(key, []).append(t)
+        place[r.coords] = (key, t)
+    for ts in strings.values():
+        ts.sort()
+    memo = rs._strings[alpha.coords] = (strings, place)
+    return memo
+
+
+def _string_span(rs: FiniteRootSet, beta: Root, alpha: Root) -> tuple[int, int]:
+    """(p, q) of ``root_string``, looked up in the alpha-strings of ``rs``."""
+    strings, place = _alpha_strings(rs, alpha)
+    hit = place.get(beta.coords)
+    if hit is None:
+        raise ValueError("string does not contain beta")
+    key, tb = hit
+    ks = [int(t - tb) for t in strings[key]]
+    if ks != list(range(ks[0], ks[-1] + 1)):
+        raise ValueError(f"broken string {ks}")
+    return -ks[0], ks[-1]
 
 
 def root_string(rs: FiniteRootSet, beta: Root, alpha: Root) -> tuple[int, int, tuple[Root, ...]]:
     """The set {k : beta + k*alpha is a member} as (p, q, chain).
 
     Returns p, q >= 0 such that the chain is beta - p*alpha ... beta + q*alpha.
-    Raises NotAFiniteRootSystem-ish detail via ValueError on broken strings;
-    the axiom checker catches and reports instead.
+    Only finite coordinates are compared.  Raises ValueError("string does
+    not contain beta") when beta is not a member, and ValueError("broken
+    string [...]"), listing every such k, when the members on beta + Z*alpha
+    skip a step; the axiom checker catches both and reports axiom (d).
     """
-    ks = []
-    for r in rs.roots:
-        diff = r - beta
-        if diff.is_zero_vector():
-            ks.append(0)
-            continue
-        q = _multiple_of(diff, alpha)
-        if q is not None and q.denominator == 1:
-            ks.append(int(q))
-    ks.sort()
-    if not ks or 0 not in ks:
-        raise ValueError("string does not contain beta")
-    if ks != list(range(ks[0], ks[-1] + 1)):
-        raise ValueError(f"broken string {ks}")
-    p, q = -ks[0], ks[-1]
-    chain = tuple(beta + alpha.scale(Q(k)) for k in range(ks[0], ks[-1] + 1))
+    p, q = _string_span(rs, beta, alpha)
+    chain = tuple(beta + alpha.scale(Q(k)) for k in range(-p, q + 1))
     return p, q, chain
+
+
+def _primes():
+    """2, 3, 5, 7, 11, ...: the default parameter samples of axiom (f)."""
+    for n in count(2):
+        if all(n % d for d in range(2, n)):
+            yield n
 
 
 def check_supersystem_axioms(rs: FiniteRootSet, samples: tuple[Q, ...] = ()) -> AxiomReport:
@@ -572,34 +592,30 @@ def check_supersystem_axioms(rs: FiniteRootSet, samples: tuple[Q, ...] = ()) -> 
 
     reals = rs.real_roots()
 
-    # (c) integrality of pairings against real roots.
-    ok_c, detail_c = True, ""
-    for alpha in reals:
-        for beta in rs.roots:
-            val = cartan_integer(rs.basis, beta, alpha)
-            if val.denominator != 1:
-                ok_c, detail_c = False, f"<{beta},{alpha}> = {val}"
-                break
-        if not ok_c:
-            break
-    results.append(AxiomResult("c", ok_c, detail_c))
-
-    # (d) unbroken strings through real roots with p - q matching the pairing.
-    ok_d, detail_d = True, ""
-    for alpha in reals:
-        for beta in rs.roots:
+    # (c) integrality of pairings against real roots, and (d) unbroken
+    # strings through real roots with p - q matching the pairing.  One pass
+    # over the (alpha, beta) pairs serves both, with one pairing per pair,
+    # and stops once both have failed.
+    detail_c = detail_d = None
+    for alpha, beta in product(reals, rs.roots):
+        diff = None
+        if detail_d is None:
             try:
-                p, q, _ = root_string(rs, beta, alpha)
+                p, q = _string_span(rs, beta, alpha)
             except ValueError as exc:
-                ok_d, detail_d = False, f"string({beta};{alpha}): {exc}"
-                break
-            expect = cartan_integer(rs.basis, beta, alpha)
-            if Q(p - q) != expect:
-                ok_d, detail_d = False, f"string({beta};{alpha}): p-q={p - q} vs {expect}"
-                break
-        if not ok_d:
+                detail_d = f"string({beta};{alpha}): {exc}"
+            else:
+                diff = p - q
+        if detail_c is None or diff is not None:
+            val = cartan_integer(rs.basis, beta, alpha)
+            if detail_c is None and val.denominator != 1:
+                detail_c = f"<{beta},{alpha}> = {val}"
+            if diff is not None and Q(diff) != val:
+                detail_d = f"string({beta};{alpha}): p-q={diff} vs {val}"
+        if detail_c is not None and detail_d is not None:
             break
-    results.append(AxiomResult("d", ok_d, detail_d))
+    results.append(AxiomResult("c", detail_c is None, detail_c or ""))
+    results.append(AxiomResult("d", detail_d is None, detail_d or ""))
 
     # (e) nonzero isotropic roots must move by +-alpha when not orthogonal.
     ok_e, detail_e = True, ""
@@ -615,9 +631,12 @@ def check_supersystem_axioms(rs: FiniteRootSet, samples: tuple[Q, ...] = ()) -> 
             break
     results.append(AxiomResult("e", ok_e, detail_e))
 
-    # (f) the form restricted to the span must be nondegenerate.
-    if not samples:
-        samples = (Q(2), Q(3), Q(5), Q(7), Q(11))
+    # (f) the form restricted to the span must be nondegenerate.  The Gram
+    # determinant of a span basis is, by Cauchy-Binet, a sum of products of
+    # len(span_basis) ambient norms, each affine in lambda; so it is a
+    # polynomial in lambda whose degree is at most the number of ambient
+    # norms that carry lambda, capped at the rank.  It vanishes identically
+    # exactly when it vanishes at one more distinct sample than that.
     span_basis: list[Root] = []
     mat: list[list[Q]] = []
     for r in rs.nonzero:
@@ -625,8 +644,17 @@ def check_supersystem_axioms(rs: FiniteRootSet, samples: tuple[Q, ...] = ()) -> 
         if matrix_rank([row[:] for row in trial]) > len(mat):
             mat = trial
             span_basis.append(r)
+    degree = min(len(span_basis), sum(1 for g in rs.basis.gram_diag if g.lam != 0))
+    if samples:
+        samples = tuple(dict.fromkeys(samples))
+        if len(samples) <= degree:
+            raise TooFewSamples(
+                f"axiom (f) needs {degree + 1} distinct parameter samples, got {len(samples)}"
+            )
+    else:
+        samples = tuple(Q(p) for p in islice(_primes(), degree + 1))
     dets = []
-    for lam in samples[: len(span_basis) + 1]:
+    for lam in samples[: degree + 1]:
         gram = [
             [rs.basis.form(a, b).at(lam) for b in span_basis]
             for a in span_basis

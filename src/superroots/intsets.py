@@ -15,15 +15,17 @@ from dataclasses import dataclass
 class IntegerSet:
     """Union of (-inf, down], [up, +inf) and a finite set of points.
 
-    Normal form: points never touch the rays (each point p satisfies
-    p > down + 1 is false ... concretely: p > down and p < up, and p is not
-    adjacent-mergeable; adjacency p == down+1 or p == up-1 is folded into
-    the ray).  down=None / up=None mean the ray is absent.  If the two rays
-    meet, the set is all of Z, represented as down=None, up=None... no:
-    represented with up = down + 1 collapsed to ALL via down=0-like forms
-    is ambiguous, so ALL is normalized to down=None, up=None, points=(),
-    all_flag=True.  To keep things simple we instead normalize ALL as
-    up=None, down=None with is_all=True.
+    ``down`` / ``up`` of None mean that ray is absent.  Normal form, as
+    ``make`` produces it:
+
+    * all of Z is ``is_all=True`` with ``down=None``, ``up=None`` and no
+      points;
+    * otherwise the rays do not meet (``up > down + 1`` when both exist),
+      every point lies strictly between them (``down < p < up``), and no
+      point is adjacent to a ray (``down + 1`` and ``up - 1`` are never
+      points; they are folded into the ray).
+
+    So two sets are equal exactly when their fields are.
     """
 
     down: int | None = None
@@ -95,9 +97,6 @@ class IntegerSet:
 
     def is_finite(self) -> bool:
         return not self.is_all and self.down is None and self.up is None
-
-    def bounded_above(self) -> bool:
-        return not self.is_all and self.up is None
 
     def bounded_below(self) -> bool:
         return not self.is_all and self.down is None

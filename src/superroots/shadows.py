@@ -21,7 +21,7 @@ from fractions import Fraction as Q
 from math import ceil, floor
 
 from .affine import AffineRootSystem
-from .errors import NotAShadowPattern, NotRealRoot
+from .errors import NotAShadowPattern
 from .intsets import IntegerSet
 from .roots import KIND_REAL, Root
 
@@ -230,37 +230,63 @@ class Shadow:
 
 
 def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowReport:
-    """Windowed check of the two sum laws and scale consistency."""
+    """Windowed check of the two sum laws and scale consistency.
+
+    Whether alpha + beta (law ``sum``) or alpha + 2*beta (law ``sum2``) is
+    real, and which levels of its line are ln, depend only on the lines of
+    alpha and beta.  So each pair of lines is looked up once, and only the
+    ln levels inside |k| <= kmax are enumerated.  Violations come out in the
+    order of a scan over window pairs: alpha outer, beta inner, ``sum``
+    before ``sum2``.
+    """
     system = shadow.system
-    violations: list[Violation] = []
-    reals = []
+    window = range(-kmax, kmax + 1)
+    lines = []  # (real finite vector, its ln levels in the window)
     for rep in system.real_class_reps:
         if class_filter is not None and rep not in class_filter:
             continue
-        for sign in (1, -1):
-            f = rep if sign > 0 else -rep
-            for k in range(-kmax, kmax + 1):
-                r = Root(f.coords, k, f.sigma)
-                reals.append(r)
-    ln_roots = [r for r in reals if shadow.is_ln(r)]
-    for alpha in ln_roots:
-        for beta in ln_roots:
-            for law, target in (("sum", alpha + beta), ("sum2", alpha + beta.scale(Q(2)))):
-                if not system.contains(target):
+        for f in (rep, -rep):
+            ln = shadow.ln_levels(f)
+            lines.append((f, [k for k in window if k in ln]))
+    rows = []
+    for fa, ka in lines:
+        row = []
+        for fb, kb in lines:
+            if not ka or not kb:
+                continue
+            laws = []
+            for law, m, t in (("sum", 1, fa + fb), ("sum2", 2, fa + fb.scale(Q(2)))):
+                if not system.contains(t) or system.classify(t) != KIND_REAL:
                     continue
-                if system.classify(target) != KIND_REAL:
-                    continue
-                if not shadow.is_ln(target):
-                    violations.append(
-                        Violation(
-                            law,
-                            alpha,
-                            beta,
-                            target,
-                            f"{system.format(alpha)} , {system.format(beta)} are ln "
-                            f"but {system.format(target)} is in",
+                ln_t = shadow.ln_levels(t)
+                sums = range(ka[0] + m * kb[0], ka[-1] + m * kb[-1] + 1)
+                missed = {k for k in sums if k not in ln_t}
+                if missed:
+                    laws.append((law, m, t, missed))
+            if laws:
+                row.append((fb, kb, laws))
+        rows.append(row)
+    violations: list[Violation] = []
+    for (fa, ka), row in zip(lines, rows):
+        for i in ka:
+            alpha = Root(fa.coords, i, fa.sigma)
+            for fb, kb, laws in row:
+                for j in kb:
+                    for law, m, t, missed in laws:
+                        if i + m * j not in missed:
+                            continue
+                        beta = Root(fb.coords, j, fb.sigma)
+                        target = Root(t.coords, i + m * j, t.sigma)
+                        violations.append(
+                            Violation(
+                                law,
+                                alpha,
+                                beta,
+                                target,
+                                f"{system.format(alpha)} , {system.format(beta)} are ln "
+                                f"but {system.format(target)} is in",
+                            )
                         )
-                    )
     # scale consistency between the f and 2f lines
     for rep in system.real_class_reps:
         if class_filter is not None and rep not in class_filter:
@@ -268,13 +294,12 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
         doubled = rep.scale(Q(2))
         if not system.contains(doubled) or system.classify(doubled) != KIND_REAL:
             continue
-        for sign in (1, -1):
-            f = rep if sign > 0 else -rep
-            f2 = doubled if sign > 0 else -doubled
-            for k in range(-kmax, kmax + 1):
-                a = Root(f.coords, k, f.sigma)
-                b = Root(f2.coords, 2 * k, f2.sigma)
-                if shadow.is_ln(a) != shadow.is_ln(b):
+        for f, f2 in ((rep, doubled), (-rep, -doubled)):
+            ln, ln2 = shadow.ln_levels(f), shadow.ln_levels(f2)
+            for k in window:
+                if (k in ln) != (2 * k in ln2):
+                    a = Root(f.coords, k, f.sigma)
+                    b = Root(f2.coords, 2 * k, f2.sigma)
                     violations.append(
                         Violation(
                             "scale",

@@ -11,8 +11,6 @@ the shape the parabolic construction consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
-from functools import cached_property
 
 from .affine import AffineRootSystem
 from .errors import (
@@ -86,14 +84,7 @@ class RootSubset:
 
     def closure_violations(self, kmax: int) -> list[tuple[Root, Root, Root]]:
         """Windowed violations of (S + S) intersect R subset-of S."""
-        members = self.window_members(kmax)
-        out = []
-        for a in members:
-            for b in members:
-                s = a + b
-                if self.system.contains(s) and not self.contains(s):
-                    out.append((a, b, s))
-        return out
+        return _window_violations(self, kmax)
 
     def even_part(self) -> "RootSubset":
         keep = {}
@@ -101,6 +92,60 @@ class RootSubset:
             if self.system.parity(Root(line.coords, 0, line.sigma)) == EVEN:
                 keep[line] = ks
         return RootSubset.of(self.system, keep)
+
+
+def _line_levels(sub: RootSubset, r: Root) -> IntegerSet:
+    """The levels of ``sub`` on the line through ``r``; empty off the system."""
+    if not sub.system.contains(r):
+        return IntegerSet.empty()
+    c = sub.system.canonicalize(r)
+    return sub.levels(Root(c.coords, 0, c.sigma))
+
+
+def _window_violations(
+    P: RootSubset, kmax: int, S: RootSubset | None = None
+) -> list[tuple[Root, Root, Root]]:
+    """Triples (a, b, a + b) with a, b in P's window |k| <= kmax and a + b in
+    S (the whole system when S is None) but not in P.
+
+    Whether a + b lies in S or P depends only on the line of a + b and on
+    its level, so each pair of lines is looked up once: its target line and
+    the level sums that land in S but not in P.  Only integer levels are
+    enumerated per pair, in the order of a scan over
+    ``P.window_members(kmax)`` squared.
+    """
+    lines = sorted(P.lines, key=lambda r: r.key())
+    window = range(-kmax, kmax + 1)
+    levels = [[k for k in window if k in P.lines[line]] for line in lines]
+    rows = []
+    for la, ka in zip(lines, levels):
+        row = []
+        for lb, kb in zip(lines, levels):
+            if not ka or not kb:
+                continue
+            t = la + lb
+            have = _line_levels(P, t)
+            if S is None:
+                need = IntegerSet.all() if P.system.contains(t) else IntegerSet.empty()
+            else:
+                need = _line_levels(S, t)
+            if need.is_subset(have):
+                continue
+            sums = range(ka[0] + kb[0], ka[-1] + kb[-1] + 1)
+            missed = {k for k in sums if k in need and k not in have}
+            if missed:
+                row.append((lb, kb, t, missed))
+        rows.append(row)
+    out = []
+    for la, ka, row in zip(lines, levels, rows):
+        for i in ka:
+            a = Root(la.coords, i, la.sigma)
+            for lb, kb, t, missed in row:
+                for j in kb:
+                    if i + j in missed:
+                        b = Root(lb.coords, j, lb.sigma)
+                        out.append((a, b, Root(t.coords, i + j, t.sigma)))
+    return out
 
 
 def full_lines_subset(system: AffineRootSystem, finite_vectors, include_imaginary: bool = True) -> RootSubset:
@@ -305,12 +350,7 @@ def check_parabolic(P: RootSubset, S: RootSubset, kmax: int) -> ParabolicCheck:
                 if not need.is_subset(P.levels(target)):
                     additive.append((fa, fb, target))
     else:
-        members = P.window_members(kmax)
-        for a in members:
-            for b in members:
-                s = a + b
-                if S.contains(s) and not P.contains(s):
-                    additive.append((a, b, s))
+        additive = _window_violations(P, kmax, S)
     covering = []
     neg = P.negated()
     for line, ks in S.lines.items():

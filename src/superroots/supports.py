@@ -56,10 +56,6 @@ def parallel_ratio(a: Root, b: Root) -> Q | None:
     return None
 
 
-def delta_step(anchor: Root) -> Root:
-    return Root(tuple(Q(0) for _ in anchor.coords), 1, 0)
-
-
 @dataclass(frozen=True)
 class SupportComponent:
     anchor: Root
@@ -108,10 +104,6 @@ class SupportSet:
     @staticmethod
     def point(anchor: Root) -> SupportComponent:
         return SupportComponent(anchor, Root(tuple(Q(0) for _ in anchor.coords), 0, 0), EXT_POINT)
-
-    @staticmethod
-    def delta_ray(anchor: Root, extent: str) -> SupportComponent:
-        return SupportComponent(anchor, delta_step(anchor), extent)
 
     def contains(self, x: Root) -> bool:
         return any(c.contains(x) for c in self.components)

@@ -36,6 +36,7 @@ from superroots import (
     FiniteTypeId,
     RankError,
     Root,
+    TooFewSamples,
     build_finite,
     check_supersystem_axioms,
     even_part_label,
@@ -250,6 +251,23 @@ def test_axioms_custom_samples():
     rs = build_finite(parse_type_token("D21L"))
     report = check_supersystem_axioms(rs, samples=(Q(1, 2), Q(4), Q(-3)))
     assert report.passed
+
+
+def test_axiom_f_samples_follow_the_degree_bound():
+    # the D21L Gram determinant has degree 2 in lambda (two norms carry it),
+    # so three distinct samples decide it and two do not
+    rs = build_finite(parse_type_token("D21L"))
+    with pytest.raises(TooFewSamples, match="needs 3 distinct parameter samples, got 2"):
+        check_supersystem_axioms(rs, samples=(Q(2), Q(3), Q(2)))
+    assert str(check_supersystem_axioms(rs, samples=(Q(-2), Q(3), Q(2)))) == str(
+        check_supersystem_axioms(rs)
+    )
+    # a lambda-free form is decided by a single sample
+    b11 = build_finite(parse_type_token("B,1,1"))
+    assert check_supersystem_axioms(b11, samples=(Q(5),)).passed
+    s2 = build_finite(parse_type_token("S,2"))
+    report = check_supersystem_axioms(s2, samples=(Q(5),))
+    assert str(report).splitlines()[-1] == "(f) FAIL: form degenerate on the span"
 
 
 def test_even_part_labels():

@@ -1,0 +1,395 @@
+"""Differential tests: the line-pair scans against the windowed scans they replace.
+
+``closure_violations``, ``check_parabolic``'s non-ray fallback,
+``validate_shadow`` and ``root_string`` decide each pair of roots from the
+pair's lines and a few integer levels.  The reference functions below are
+the plain windowed scans that enumerate every pair of window roots; the
+exact versions must return the same answers in the same order, and raise
+the same errors.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as Q
+from itertools import product
+
+import pytest
+
+from superroots import (
+    FiniteRootSet,
+    FiniteTypeId,
+    IntegerSet,
+    Root,
+    RootSubset,
+    Shadow,
+    build_affine,
+    build_finite,
+    cartan_integer,
+    check_parabolic,
+    check_supersystem_axioms,
+    decompose,
+    even_subset,
+    hybrid_class,
+    induce_from_functional,
+    parse_type_token,
+    root,
+    root_string,
+    tight_class,
+    validate_shadow,
+)
+from superroots.roots import KIND_REAL, eps_delta_basis
+from superroots.shadows import DOWN, UP, ShadowReport, Violation
+
+# -- reference scans --------------------------------------------------------------
+
+
+def windowed_contains(sub: RootSubset, r: Root) -> bool:
+    if not sub.system.contains(r):
+        return False
+    c = sub.system.canonicalize(r)
+    return c.k in sub.levels(Root(c.coords, 0, c.sigma))
+
+
+def windowed_closure_violations(P: RootSubset, kmax: int, S: RootSubset | None = None):
+    """Every window pair (a, b) of P with a + b in S (the system if None) but not in P."""
+    members = P.window_members(kmax)
+    out = []
+    for a in members:
+        for b in members:
+            s = a + b
+            inside = P.system.contains(s) if S is None else windowed_contains(S, s)
+            if inside and not windowed_contains(P, s):
+                out.append((a, b, s))
+    return out
+
+
+def windowed_validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowReport:
+    system = shadow.system
+    violations = []
+    reals = []
+    for rep in system.real_class_reps:
+        if class_filter is not None and rep not in class_filter:
+            continue
+        for sign in (1, -1):
+            f = rep if sign > 0 else -rep
+            for k in range(-kmax, kmax + 1):
+                reals.append(Root(f.coords, k, f.sigma))
+    ln_roots = [r for r in reals if shadow.is_ln(r)]
+    for alpha in ln_roots:
+        for beta in ln_roots:
+            for law, target in (("sum", alpha + beta), ("sum2", alpha + beta.scale(Q(2)))):
+                if not system.contains(target):
+                    continue
+                if system.classify(target) != KIND_REAL:
+                    continue
+                if not shadow.is_ln(target):
+                    violations.append(
+                        Violation(
+                            law,
+                            alpha,
+                            beta,
+                            target,
+                            f"{system.format(alpha)} , {system.format(beta)} are ln "
+                            f"but {system.format(target)} is in",
+                        )
+                    )
+    for rep in system.real_class_reps:
+        if class_filter is not None and rep not in class_filter:
+            continue
+        doubled = rep.scale(Q(2))
+        if not system.contains(doubled) or system.classify(doubled) != KIND_REAL:
+            continue
+        for sign in (1, -1):
+            f = rep if sign > 0 else -rep
+            f2 = doubled if sign > 0 else -doubled
+            for k in range(-kmax, kmax + 1):
+                a = Root(f.coords, k, f.sigma)
+                b = Root(f2.coords, 2 * k, f2.sigma)
+                if shadow.is_ln(a) != shadow.is_ln(b):
+                    violations.append(
+                        Violation("scale", a, None, b, f"{system.format(a)} and {system.format(b)} disagree")
+                    )
+    return ShadowReport(tuple(violations))
+
+
+def _multiple_of(candidate: Root, base: Root):
+    ratio = None
+    for c, b in zip(candidate.coords, base.coords):
+        if b == 0:
+            if c != 0:
+                return None
+        else:
+            q = c / b
+            if ratio is None:
+                ratio = q
+            elif ratio != q:
+                return None
+    return ratio
+
+
+def scanned_root_string(rs: FiniteRootSet, beta: Root, alpha: Root):
+    ks = []
+    for r in rs.roots:
+        diff = r - beta
+        if diff.is_zero_vector():
+            ks.append(0)
+            continue
+        q = _multiple_of(diff, alpha)
+        if q is not None and q.denominator == 1:
+            ks.append(int(q))
+    ks.sort()
+    if not ks or 0 not in ks:
+        raise ValueError("string does not contain beta")
+    if ks != list(range(ks[0], ks[-1] + 1)):
+        raise ValueError(f"broken string {ks}")
+    chain = tuple(beta + alpha.scale(Q(k)) for k in range(ks[0], ks[-1] + 1))
+    return -ks[0], ks[-1], chain
+
+
+def scanned_axioms_c_d(rs: FiniteRootSet) -> tuple[str, str]:
+    """Axioms (c) and (d) as two separate scans, rendered like AxiomReport lines."""
+    reals = rs.real_roots()
+    detail_c = ""
+    for alpha, beta in product(reals, rs.roots):
+        val = cartan_integer(rs.basis, beta, alpha)
+        if val.denominator != 1:
+            detail_c = f"<{beta},{alpha}> = {val}"
+            break
+    detail_d = ""
+    for alpha, beta in product(reals, rs.roots):
+        try:
+            p, q, _ = scanned_root_string(rs, beta, alpha)
+        except ValueError as exc:
+            detail_d = f"string({beta};{alpha}): {exc}"
+            break
+        expect = cartan_integer(rs.basis, beta, alpha)
+        if Q(p - q) != expect:
+            detail_d = f"string({beta};{alpha}): p-q={p - q} vs {expect}"
+            break
+    return tuple(
+        f"({ax}) {'FAIL' if detail else 'ok'}" + (f": {detail}" if detail else "")
+        for ax, detail in (("c", detail_c), ("d", detail_d))
+    )
+
+
+# -- cases ---------------------------------------------------------------------------
+
+#: the shadow-validation, decomposition and axiom types the benchmark runs
+VALIDATE_TYPES = ["B,1,1", "B,2,1", "D21L", "A,2,1", "G3", "F4"]
+DECOMPOSE_CELLS = [("B,2,1", 6), ("A,1,2", 6), ("D,2,2", 5), ("G3", 4), ("F4", 4)]
+AXIOM_TYPES = [
+    "A,1,1", "B,1,1", "C,2", "C,3", "D,1,1", "D,2,1", "D,1,2", "BC,1,1", "D21L",
+    "A,2,1", "A,1,2", "B,2,1", "B,1,2", "BC,2,1", "BC,1,2", "D,2,2",
+    "A,2,2", "B,2,2", "BC,2,2", "F4", "G3", "S,2",
+]
+#: types with sigma-carrying lines (equal blocks of size two and three)
+ANN_TYPES = ["A,1,1", "A,2,2"]
+
+
+def system(token):
+    return build_affine(parse_type_token(token))
+
+
+def random_levels(rng: random.Random) -> IntegerSet:
+    """Rays, everything, point sets and partial lines, in normal form."""
+    pick = rng.randrange(6)
+    if pick == 0:
+        return IntegerSet.all()
+    if pick == 1:
+        return IntegerSet.at_least(rng.randint(-2, 2))
+    if pick == 2:
+        return IntegerSet.at_most(rng.randint(-2, 2))
+    pts = rng.sample(range(-4, 5), rng.randint(1, 4))
+    if pick == 3:
+        return IntegerSet.of(*pts)
+    down = rng.randint(-5, -2) if rng.random() < 0.5 else None
+    up = rng.randint(2, 5) if rng.random() < 0.5 else None
+    return IntegerSet.make(down, up, pts)
+
+
+def random_subset(sys_, rng: random.Random, lines=None) -> RootSubset:
+    lines = sys_.lines if lines is None else lines
+    mapping = {line: random_levels(rng) for line in lines if rng.random() < 0.6}
+    return RootSubset.of(sys_, mapping)
+
+
+def random_class_shadows(sys_, rng: random.Random) -> Shadow:
+    classes = []
+    for rep in sys_.real_class_reps:
+        if rng.random() < 0.3:
+            plus = rng.random() < 0.5
+            classes.append(tight_class(rep, plus, not plus))
+        else:
+            classes.append(
+                hybrid_class(rep, rng.choice((UP, DOWN)), rng.randint(-2, 2), rng.choice((-1, 0, 1)))
+            )
+    return Shadow.of(sys_, classes)
+
+
+def functional_shadow(sys_, rng: random.Random) -> Shadow:
+    coeffs = {
+        sym: Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+        for sym in sys_.basis.symbols
+    }
+    return induce_from_functional(sys_, coeffs, Q(rng.choice(("1", "-1", "1/2", "-3/2"))))
+
+
+# -- closure -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("token,kmax", DECOMPOSE_CELLS)
+def test_closure_matches_windowed_scan_on_even_parts(token, kmax):
+    sub = even_subset(system(token))
+    assert sub.closure_violations(kmax) == windowed_closure_violations(sub, kmax) == []
+
+
+@pytest.mark.parametrize(
+    "token", sorted(set(VALIDATE_TYPES + [t for t, _ in DECOMPOSE_CELLS] + ANN_TYPES + ["C,2"]))
+)
+def test_closure_matches_windowed_scan_on_random_subsets(token):
+    sys_ = system(token)
+    rng = random.Random(f"closure {token}")
+    found = 0
+    for _ in range(3):
+        sub = random_subset(sys_, rng)
+        got = sub.closure_violations(3)
+        assert got == windowed_closure_violations(sub, 3)
+        found += len(got)
+    assert found  # the comparison saw violations, not only empty lists
+
+
+def test_closure_covers_sigma_lines():
+    sys_ = system("A,1,1")
+    sigma_lines = [line for line in sys_.lines if line.sigma]
+    assert sigma_lines
+    rng = random.Random("sigma lines")
+    sub = RootSubset.of(sys_, {line: random_levels(rng) for line in sys_.lines})
+    got = sub.closure_violations(3)
+    assert got == windowed_closure_violations(sub, 3)
+    assert any(a.sigma or b.sigma for a, b, _ in got)
+
+
+# -- check_parabolic's non-ray fallback ---------------------------------------------------
+
+
+@pytest.mark.parametrize("token", ["B,1,1", "D21L", "A,2,1", "B,2,1"])
+def test_parabolic_fallback_matches_windowed_scan(token):
+    sys_ = system(token)
+    dec = decompose(sys_, even_subset(sys_), kmax=4)
+    rng = random.Random(f"parabolic {token}")
+    for comp in dec.components:
+        lines = sorted(comp.subset.lines, key=lambda r: r.key())
+        for within in (comp.subset, random_subset(sys_, rng, lines)):
+            P = RootSubset.of(
+                sys_, {**random_subset(sys_, rng, lines).lines, lines[0]: IntegerSet.of(0, 2)}
+            )
+            check = check_parabolic(P, within, 3)
+            assert check.additive_violations == tuple(windowed_closure_violations(P, 3, within))
+
+
+def test_parabolic_fallback_on_partial_lines():
+    sys_ = system("B,1,1")
+    comp = decompose(sys_, even_subset(sys_), kmax=6).components[1]
+    dd = Root((Q(0), Q(2)), 0, 0)
+    P = RootSubset.of(
+        sys_,
+        {
+            sys_.zero_root: IntegerSet.make(-3, 3, [0]),
+            dd: IntegerSet.at_least(0),
+            -dd: IntegerSet.of(0, 1),
+        },
+    )
+    check = check_parabolic(P, comp.subset, 4)
+    assert check.additive_violations
+    assert check.additive_violations == tuple(windowed_closure_violations(P, 4, comp.subset))
+
+
+# -- shadow sum laws -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("token", VALIDATE_TYPES + ["A,2,2"])
+def test_validate_matches_windowed_scan(token):
+    sys_ = system(token)
+    rng = random.Random(f"validate {token}")
+    clean = functional_shadow(sys_, rng)
+    violating = random_class_shadows(sys_, rng)
+    got = validate_shadow(clean, 3)
+    assert got == windowed_validate_shadow(clean, 3)
+    assert got.passed
+    got = validate_shadow(violating, 3)
+    assert got == windowed_validate_shadow(violating, 3)
+    if token != "D21L":  # its real lines are mutually orthogonal: no sum is real
+        assert not got.passed
+
+
+@pytest.mark.parametrize("token", ["B,1,1", "B,2,1", "G3", "F4"])
+def test_validate_with_class_filter_matches_windowed_scan(token):
+    sys_ = system(token)
+    rng = random.Random(f"filter {token}")
+    reps = sys_.real_class_reps
+    for _ in range(2):
+        shadow = random_class_shadows(sys_, rng)
+        keep = set(rng.sample(reps, max(1, len(reps) // 2)))
+        assert validate_shadow(shadow, 3, class_filter=keep) == windowed_validate_shadow(
+            shadow, 3, class_filter=keep
+        )
+
+
+def test_validate_reports_every_law_in_scan_order():
+    shadow = random_class_shadows(system("B,2,1"), random.Random("all laws"))
+    got = validate_shadow(shadow, 2)
+    assert got == windowed_validate_shadow(shadow, 2)
+    assert {v.law for v in got.violations} == {"sum", "sum2", "scale"}
+
+
+# -- root strings and axioms (c), (d) ------------------------------------------------------
+
+
+@pytest.mark.parametrize("token", AXIOM_TYPES)
+def test_root_string_matches_scan(token):
+    rs = build_finite(parse_type_token(token))
+    for alpha in rs.real_roots():
+        for beta in rs.roots:
+            assert root_string(rs, beta, alpha) == scanned_root_string(rs, beta, alpha)
+    report = str(check_supersystem_axioms(rs)).splitlines()
+    assert tuple(report[2:4]) == scanned_axioms_c_d(rs)
+
+
+def gapped_set() -> FiniteRootSet:
+    """{0, +-e1, +-3e1, +-(2e1+e2)}: a broken e1-string and a non-integral pairing."""
+    e1, e2 = root(1, 0), root(0, 1)
+    vecs = {Root((Q(0), Q(0)))}
+    for v in (e1, e1.scale(3), e1.scale(2) + e2):
+        vecs |= {v, -v}
+    return FiniteRootSet(
+        FiniteTypeId("PURE"), eps_delta_basis(2, 0),
+        tuple(sorted(vecs, key=lambda r: r.key())), frozenset(), "gapped",
+    )
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_root_string_errors_match_scan():
+    rs = gapped_set()
+    e1, e2 = root(1, 0), root(0, 1)
+    for beta, alpha in ((e1, e1), (e1.scale(3), e1), (-e1, e1)):
+        text = raised(root_string, rs, beta, alpha)
+        assert text.startswith("broken string")
+        assert text == raised(scanned_root_string, rs, beta, alpha)
+    b11 = build_finite(parse_type_token("B,1,1"))
+    for beta, alpha in ((e2.scale(3), e2), (e1 + e2.scale(2), e1), (e1.scale(2), root(1, 1))):
+        text = raised(root_string, b11, beta, alpha)
+        assert text == "string does not contain beta"
+        assert text == raised(scanned_root_string, b11, beta, alpha)
+
+
+def test_axioms_c_and_d_both_fail_like_the_scans():
+    rs = gapped_set()
+    report = check_supersystem_axioms(rs)
+    assert report.failed_axioms[:2] == ("c", "d")
+    assert tuple(str(report).splitlines()[2:4]) == scanned_axioms_c_d(rs)
