@@ -10,7 +10,6 @@ from .affine import AffineRootSystem, build_affine
 from .basefind import expand_in_base, find_base, highest_root, integer_expansion
 from .errors import (
     AmbiguousSign,
-    AxiomViolation,
     BasisMismatch,
     CaseMismatch,
     DependentRoots,

@@ -8,16 +8,15 @@ distinct abstract functionals then project to the same vector).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 
 from .errors import NotARoot, NotRealRoot, RankError
-from .finite import FiniteRootSet, FiniteTypeId, build_finite, ann_block_traceless
+from .finite import FiniteRootSet, FiniteTypeId, ann_block_traceless, build_finite, gl_odd_vectors
 from .roots import (
     EVEN,
     KIND_IMAGINARY,
-    KIND_NONSINGULAR,
     KIND_REAL,
     KIND_ZERO,
     AmbientBasis,
@@ -36,7 +35,6 @@ class AffineRootSystem:
     #: allowed sigma multiplicities per nonzero finite vector
     sigma_options: dict
     lambda_value: Q | None = None
-    _kind_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def basis(self) -> AmbientBasis:
@@ -78,21 +76,13 @@ class AffineRootSystem:
         if not self.contains(r):
             raise NotARoot(f"{r} is not a member of {self.token}")
         c = self.canonicalize(r)
-        if c.is_zero_vector():
+        kind = self.finite.kind(c.finite())
+        if kind == KIND_ZERO:
+            # a member on the zero line has sigma 0: it is 0 or a multiple of delta
+            return KIND_ZERO if c.k == 0 else KIND_IMAGINARY
+        if kind == KIND_IMAGINARY and c.k == 0 and c.sigma == 0:
             return KIND_ZERO
-        f = Root(c.coords)
-        cached = self._kind_cache.get(f)
-        if cached is None:
-            if self.finite.is_orthogonal_to_all(f):
-                cached = KIND_IMAGINARY
-            elif not self.finite.norm(f).is_zero():
-                cached = KIND_REAL
-            else:
-                cached = KIND_NONSINGULAR
-            self._kind_cache[f] = cached
-        if cached == KIND_IMAGINARY and c.k == 0 and c.sigma == 0:
-            return KIND_ZERO
-        return cached
+        return kind
 
     def parity(self, r: Root) -> str:
         if not self.contains(r):
@@ -236,15 +226,9 @@ def build_affine(type_id: FiniteTypeId, lambda_value: Q | None = None) -> Affine
         lam = None
     sigma_options: dict[Root, tuple[int, ...]] = {}
     if type_id.family == "ANN":
-        mb = type_id.n + 1
-        basis = fin.basis
-        es = [basis.unit(i) for i in range(mb)]
-        ds = [basis.unit(mb + j) for j in range(mb)]
         acc: dict[Root, set[int]] = {}
-        for i in range(mb):
-            for j in range(mb):
-                v = ann_block_traceless(basis, es[i] - ds[j])
-                acc.setdefault(v, set()).add(1)
-                acc.setdefault(-v, set()).add(-1)
+        for v in gl_odd_vectors(fin.basis, type_id.n + 1, traceless=True):
+            acc.setdefault(v, set()).add(1)
+            acc.setdefault(-v, set()).add(-1)
         sigma_options = {v: tuple(sorted(s)) for v, s in acc.items()}
     return AffineRootSystem(type_id, fin, sigma_options, lam)

@@ -27,10 +27,6 @@ class IsotropicReflectionError(SuperrootsError):
     """Cartan integer or reflection requested against a self-orthogonal root."""
 
 
-class AxiomViolation(SuperrootsError):
-    """A computed quantity violates a root-supersystem axiom (e.g. non-integral pairing)."""
-
-
 class BasisMismatch(SuperrootsError):
     """Operands live over different ambient bases."""
 
@@ -96,4 +92,7 @@ class DirectionNotDecidable(SuperrootsError):
 
 
 class OutsideWindow(SuperrootsError):
-    """Exact answer would require data beyond the declared enumeration horizon."""
+    """Exact answer would require data beyond the declared enumeration horizon.
+
+    Not raised yet: it is kept for the planned window-free checks.
+    """

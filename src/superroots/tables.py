@@ -15,9 +15,8 @@ from fractions import Fraction as Q
 from itertools import product
 
 from .errors import RankError
-from .finite import FiniteTypeId
-from .roots import Root, d21_basis, eps_delta_basis, f4_basis, g3_basis
-from .finite import ann_block_traceless
+from .finite import FiniteTypeId, ann_block_traceless, block_units
+from .roots import Root, d21_basis, f4_basis, g3_basis
 
 
 @dataclass(frozen=True)
@@ -48,15 +47,8 @@ def _pm(vectors) -> set:
     return out
 
 
-def _units(m: int, n: int):
-    basis = eps_delta_basis(m, n)
-    es = [basis.unit(i) for i in range(m)]
-    ds = [basis.unit(m + j) for j in range(n)]
-    return basis, es, ds
-
-
 def _a_lines(m: int, n: int) -> LineClassification:
-    _, es, ds = _units(m + 1, n + 1)
+    _, es, ds = block_units(m + 1, n + 1)
     real = set()
     for i in range(m + 1):
         for r in range(m + 1):
@@ -73,7 +65,7 @@ def _a_lines(m: int, n: int) -> LineClassification:
 def _ann_lines(n: int, block: int) -> LineClassification:
     """Equal-block lines with explicit sigma; ``block`` bounds the indices."""
     nb = n + 1
-    basis, es, ds = _units(nb, nb)
+    basis, es, ds = block_units(nb, nb)
     real = set()
     for i in range(block):
         for j in range(block):
@@ -90,7 +82,7 @@ def _ann_lines(n: int, block: int) -> LineClassification:
 
 
 def _b_lines(m: int, n: int) -> LineClassification:
-    _, es, ds = _units(m, n)
+    _, es, ds = block_units(m, n)
     real = set(_pm(es))
     for i in range(m):
         for r in range(i + 1, m):
@@ -111,7 +103,7 @@ def _b_lines(m: int, n: int) -> LineClassification:
 
 
 def _cn_lines(n: int, printed: bool) -> LineClassification:
-    basis, es, ds = _units(1, n - 1)
+    basis, es, ds = block_units(1, n - 1)
     real = set(_pm(d.scale(Q(2)) for d in ds))
     for j in range(n - 1):
         for s in range(j + 1, n - 1):
@@ -127,7 +119,7 @@ def _cn_lines(n: int, printed: bool) -> LineClassification:
 
 
 def _d_lines(m: int, n: int) -> LineClassification:
-    _, es, ds = _units(m, n)
+    _, es, ds = block_units(m, n)
     real = set()
     for i in range(m):
         for r in range(i + 1, m):
@@ -243,8 +235,8 @@ def discrepancies(type_id: FiniteTypeId) -> tuple[Discrepancy, ...]:
     }
     out = []
     for table, col in (("kind", "real"), ("kind", "ns"), ("parity", "even"), ("parity", "odd")):
-        g = getattr(golden, {"real": "real", "ns": "ns", "even": "even", "odd": "odd"}[col])
-        p = getattr(printed, {"real": "real", "ns": "ns", "even": "even", "odd": "odd"}[col])
+        g = getattr(golden, col)
+        p = getattr(printed, col)
         if g == p:
             continue
         out.append(

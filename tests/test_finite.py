@@ -18,6 +18,10 @@ the builders:
   exceptional)
 
 Each count below adds 1 for the zero vector, which every set contains.
+The second number is the size of the odd part, negatives included: the
+mixed vectors (2pq, or 4mn for e_i +- d_j), plus 2n for the d_j of B and
+BC; 8, 16 and 14 for the exceptional families (G3: nu and nu + the six
+differences).
 """
 
 from __future__ import annotations
@@ -48,41 +52,47 @@ from superroots import (
 from superroots.roots import eps_delta_basis
 
 EXPECTED_COUNTS = {
-    "A,2,1": 21,  # blocks 3,2: 6 + 2 + 12
-    "A,1,2": 21,  # blocks 2,3
-    "A,1,1": 9,  # traceless equal blocks of 2: 4 even + 4 odd
-    "A,2,2": 31,  # equal blocks of 3: 12 even + 18 odd
-    "B,0,1": 5,
-    "B,1,1": 11,
-    "B,2,1": 21,
-    "B,1,2": 23,
-    "B,2,2": 37,  # 8 + 8 + 4 + 16 nonzero
-    "C,1,1": 9,
-    "C,2,1": 19,
-    "C,1,2": 19,
-    "C,2,2": 33,
-    "D,1,1": 7,
-    "D,2,1": 15,
-    "D,1,2": 17,
-    "D,2,2": 29,
-    "BC,1,0": 5,
-    "BC,0,1": 5,
-    "BC,1,1": 13,
-    "BC,2,2": 41,
-    "C,2": 7,  # 2n^2 - 2 = 6 at n = 2
-    "C,3": 17,
-    "S,2": 13,
-    "D21L": 15,
-    "F4": 37,
-    "G3": 29,
+    "A,2,1": (21, 12),  # blocks 3,2: 6 + 2 + 12
+    "A,1,2": (21, 12),  # blocks 2,3
+    "A,1,1": (9, 4),  # traceless equal blocks of 2: 4 even + 4 odd
+    "A,2,2": (31, 18),  # equal blocks of 3: 12 even + 18 odd
+    "B,0,1": (5, 2),
+    "B,1,1": (11, 6),
+    "B,2,1": (21, 10),
+    "B,1,2": (23, 12),
+    "B,2,2": (37, 20),  # 8 + 8 + 4 + 16 nonzero
+    "C,1,1": (9, 4),
+    "C,2,1": (19, 8),
+    "C,1,2": (19, 8),
+    "C,2,2": (33, 16),
+    "D,1,1": (7, 4),
+    "D,2,1": (15, 8),
+    "D,1,2": (17, 8),
+    "D,2,2": (29, 16),
+    "BC,1,0": (5, 0),
+    "BC,0,1": (5, 2),
+    "BC,1,1": (13, 6),
+    "BC,2,2": (41, 20),
+    "C,2": (7, 4),  # 2n^2 - 2 = 6 at n = 2
+    "C,3": (17, 8),
+    "S,2": (13, 8),
+    "D21L": (15, 8),
+    "F4": (37, 16),
+    "G3": (29, 14),
 }
 
 
-@pytest.mark.parametrize("token,count", sorted(EXPECTED_COUNTS.items()))
-def test_member_counts(token, count):
+@pytest.mark.parametrize(
+    "token,counts",
+    sorted(EXPECTED_COUNTS.items()),
+    ids=[f"{token}-{count}" for token, (count, _) in sorted(EXPECTED_COUNTS.items())],
+)
+def test_member_counts(token, counts):
+    count, odd = counts
     rs = build_finite(parse_type_token(token))
     assert len(rs.roots) == count
     assert len(rs.members) == count  # no duplicates survive normalisation
+    assert len(rs.odd) == odd  # a vector moved between the parts keeps the count
 
 
 def test_parse_type_token():
@@ -112,6 +122,15 @@ def test_rank_constraints():
         FiniteTypeId("S", 1, 1)
     with pytest.raises(RankError):
         FiniteTypeId("BC", 0, 0)
+
+
+def test_build_stamps_canonical_ids():
+    # C(n) ignores its first rank and S keeps one rank; the builder stamps
+    # the canonical id whatever the caller passed.
+    assert build_finite(FiniteTypeId("CN", 0, 3)).type_id == FiniteTypeId("CN", 1, 3)
+    assert build_finite(FiniteTypeId("CN", 0, 3)) == build_finite(FiniteTypeId("CN", 1, 3))
+    assert build_finite(FiniteTypeId("S", 3, 0)).type_id == FiniteTypeId("S", 3, 3)
+    assert build_finite(FiniteTypeId("S", 3, 0)) == build_finite(FiniteTypeId("S", 3, 3))
 
 
 def test_token_round_trip():
