@@ -84,9 +84,8 @@ def parse_root_expr(system: AffineRootSystem, text: str) -> Root:
     return system.canonicalize(Root(tuple(coords), int(k), int(sigma)))
 
 
-def _add_common(sub: argparse.ArgumentParser, with_type: bool = True) -> None:
-    if with_type:
-        sub.add_argument("--type", required=True, help="type token, e.g. B,1,1 or d21l")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--type", required=True, help="type token, e.g. B,1,1 or d21l")
     sub.add_argument("--window", type=int, default=5, help="delta window |k| <= K (default 5)")
     sub.add_argument(
         "--lambda",
@@ -400,6 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--scenario", help="scenario name, e.g. d21l-case3")
             sub.add_argument("--list", action="store_true", help="list scenario names")
             sub.add_argument("--window", type=int, default=5)
+        elif name == "axioms":
+            # finite families only: no delta window and no lambda to read
+            sub.add_argument("--type", required=True, help="finite type token, e.g. B,2,2 or S,2")
         else:
             _add_common(sub)
         if name == "shadow-validate":

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations, count, islice, permutations, product
 
 from .errors import NotARoot, RankError, TooFewSamples
-from .linalg import rank as matrix_rank, det as matrix_det
+from .linalg import det as matrix_det, pivot_columns, rank as matrix_rank
 from .roots import (
     EVEN,
     KIND_IMAGINARY,
@@ -53,6 +53,9 @@ class FiniteTypeId:
     * ``"S"``    -- traceful equal-block variant (degenerate form), ``m >= 2``
     * ``"F4"``, ``"G3"``, ``"D21L"`` -- exceptional, parameter-free
     * ``"PURE"`` -- ad-hoc component (returned by decompositions only)
+
+    Ids are canonical: ``CN`` always carries ``m = 1``, ``S`` carries
+    ``n = m``, and the parameter-free families refuse ranks.
     """
 
     family: str
@@ -62,8 +65,9 @@ class FiniteTypeId:
     def __post_init__(self) -> None:
         fam = self.family
         if fam in ("F4", "G3", "D21L", "PURE"):
-            return
-        if fam == "A":
+            if self.m or self.n:
+                raise RankError(f"{fam} takes no ranks, got ({self.m},{self.n})")
+        elif fam == "A":
             if self.m < 0 or self.n < 0 or self.m == self.n:
                 raise RankError(f"A requires m,n >= 0 and m != n, got ({self.m},{self.n})")
         elif fam == "ANN":
@@ -75,6 +79,7 @@ class FiniteTypeId:
         elif fam == "CN":
             if self.n < 2:
                 raise RankError(f"C(n) requires n >= 2, got n={self.n}")
+            object.__setattr__(self, "m", 1)  # C(n) has no first rank
         elif fam == "C":
             if self.m < 1 or self.n < 1:
                 raise RankError(f"C requires m,n >= 1, got ({self.m},{self.n})")
@@ -87,6 +92,7 @@ class FiniteTypeId:
         elif fam == "S":
             if self.m < 2 or self.n not in (0, self.m):
                 raise RankError(f"S requires a single parameter m >= 2, got ({self.m},{self.n})")
+            object.__setattr__(self, "n", self.m)
         else:
             raise RankError(f"unknown family {fam!r}")
 
@@ -199,6 +205,13 @@ class FiniteRootSet:
 
     def nonsingular_roots(self) -> tuple[Root, ...]:
         return tuple(r for r in self.nonzero if self.kind(r) == KIND_NONSINGULAR)
+
+    @cached_property
+    def span_basis(self) -> tuple[Root, ...]:
+        """Each nonzero root outside the span of the roots before it: the
+        pivot columns of the roots-as-columns matrix."""
+        columns = [list(row) for row in zip(*(r.coords for r in self.nonzero))]
+        return tuple(self.nonzero[c] for c in pivot_columns(columns))
 
     @cached_property
     def span_rank(self) -> int:
@@ -356,10 +369,10 @@ def build_finite(type_id: FiniteTypeId) -> FiniteRootSet:
     if fam == "S":
         # Mixed vectors kept traceful: the form on the span is degenerate,
         # which is exactly what the axiom checker must find.
-        return _build_gl(FiniteTypeId("S", m, m), m, m)
+        return _build_gl(type_id, m, m)
     if fam == "CN":
         # One epsilon direction, n-1 delta directions: the m=1 even-orthogonal mix.
-        return _build_osp(FiniteTypeId("CN", 1, n), 1, n - 1)
+        return _build_osp(type_id, 1, n - 1)
     if fam in ("B", "C", "D", "BC"):
         return _build_osp(type_id, m, n)
     if fam in _EXCEPTIONAL:
@@ -548,13 +561,7 @@ def check_supersystem_axioms(rs: FiniteRootSet, samples: tuple[Q, ...] = ()) -> 
     # polynomial in lambda whose degree is at most the number of ambient
     # norms that carry lambda, capped at the rank.  It vanishes identically
     # exactly when it vanishes at one more distinct sample than that.
-    span_basis: list[Root] = []
-    mat: list[list[Q]] = []
-    for r in rs.nonzero:
-        trial = mat + [list(r.coords)]
-        if matrix_rank([row[:] for row in trial]) > len(mat):
-            mat = trial
-            span_basis.append(r)
+    span_basis = rs.span_basis
     degree = min(len(span_basis), sum(1 for g in rs.basis.gram_diag if g.lam != 0))
     if samples:
         samples = tuple(dict.fromkeys(samples))

@@ -98,6 +98,10 @@ class IntegerSet:
     def is_finite(self) -> bool:
         return not self.is_all and self.down is None and self.up is None
 
+    def is_ray_shape(self) -> bool:
+        """All, empty, or exactly one ray with no points."""
+        return self.is_all or (not self.points and (self.down is None or self.up is None))
+
     def bounded_below(self) -> bool:
         return not self.is_all and self.down is None
 

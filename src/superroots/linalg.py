@@ -1,8 +1,9 @@
 """Small exact linear algebra helpers over Fraction matrices.
 
 Everything here works on lists of lists of Fractions and is sized for the
-tiny systems this package deals with (dimension <= ~12), so plain Gaussian
-elimination is all we need.
+tiny systems this package deals with (dimension <= ~12).  One Gauss-Jordan
+routine, ``_eliminate``, does all the elimination; rank, det, solve and
+factor read their answers off the matrix it leaves.
 """
 
 from __future__ import annotations
@@ -16,97 +17,75 @@ Matrix = list[list[Q]]
 Vector = list[Q]
 
 
-def mat_copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
+def _eliminate(m: Matrix, cols: int) -> tuple[list[int], Q]:
+    """Gauss-Jordan on the first ``cols`` columns of ``m``, in place.
+
+    Returns the pivot columns and the product of the pivots, negated once per
+    row swap.  Afterwards row ``r`` holds a leading 1 in column ``pivots[r]``,
+    that column is zero in every other row, and the rows past the last pivot
+    are zero on the first ``cols`` columns.  A column is a pivot exactly when
+    it is not a combination of the columns before it.  Rows are replaced,
+    never mutated, so a shallow copy of the caller's list is enough.
+    """
+    pivots: list[int] = []
+    scale = Q(1)
+    rows = len(m)
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            scale = -scale
+        inv = m[r][c]
+        scale *= inv
+        # the pivot row is zero left of c, and zeros need no arithmetic
+        m[r] = top = [v / inv if v else v for v in m[r]]
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], top)]
+        pivots.append(c)
+    return pivots, scale
+
+
+def pivot_columns(a: Matrix) -> list[int]:
+    """Indices of the columns of ``a`` outside the span of the columns before them."""
+    return _eliminate(list(a), len(a[0]) if a else 0)[0]
 
 
 def rank(a: Matrix) -> int:
-    """Rank by fraction-free-enough Gaussian elimination (exact)."""
-    if not a:
-        return 0
-    m = mat_copy(a)
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                for j in range(c, cols):
-                    m[i][j] -= f * m[r][j]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank of ``a``: the number of pivots."""
+    return len(pivot_columns(a))
 
 
 def det(a: Matrix) -> Q:
     """Determinant of a square matrix."""
-    n = len(a)
-    if n == 0:
-        return Q(1)
-    m = mat_copy(a)
-    sign = 1
-    result = Q(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return result * sign
+    pivots, scale = _eliminate(list(a), len(a))
+    return scale if len(pivots) == len(a) else Q(0)
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """Solve a @ x = b exactly.
 
-    Returns the unique solution, or None when the system is inconsistent.
-    Requires the solution to be unique if one exists (columns of full rank
-    on the involved equations); free variables are set to zero only when
-    they never appear with a pivot, which does not occur for the
-    full-column-rank systems this package produces.
+    Returns a solution, or None when the system is inconsistent.  Columns
+    without a pivot are free variables and are set to zero, so the solution
+    is the unique one exactly when the columns of ``a`` are independent, as
+    in every system this package solves.
     """
     if not a:
         return [] if all(x == 0 for x in b) else None
-    rows, cols = len(a), len(a[0])
-    m = [a[i][:] + [b[i]] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                for j in range(c, cols + 1):
-                    m[i][j] -= f * m[r][j]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    # inconsistency: a zero row with nonzero rhs
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
+    cols = len(a[0])
+    m = [row[:] + [x] for row, x in zip(a, b)]
+    pivots, _ = _eliminate(m, cols)
+    if any(row[cols] for row in m[len(pivots):]):
+        return None
     x = [Q(0)] * cols
-    for i, c in pivots:
-        x[c] = m[i][cols]
+    for row, c in zip(m, pivots):
+        x[c] = row[cols]
     return x
 
 
@@ -127,7 +106,7 @@ class Factor(NamedTuple):
 
 
 def factor(a: Matrix) -> Factor | None:
-    """One Gauss-Jordan pass over ``[a | I]``; None when the columns of a are dependent.
+    """Eliminate ``[a | I]``; None when the columns of a are dependent.
 
     Row reduction brings ``[a | I]`` to ``[[I, L], [0, N]]``; the row
     operations ``[L; N]`` are invertible, so every right-hand side can be
@@ -135,20 +114,9 @@ def factor(a: Matrix) -> Factor | None:
     """
     rows = len(a)
     cols = len(a[0]) if a else 0
-    if cols > rows:
-        return None
     m = [[Q(x) for x in a[i]] + [Q(int(i == j)) for j in range(rows)] for i in range(rows)]
-    for c in range(cols):
-        pivot = next((i for i in range(c, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = m[c][c]
-        m[c] = [v / inv for v in m[c]]
-        for i in range(rows):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    if len(_eliminate(m, cols)[0]) < cols:
+        return None
     return Factor([row[cols:] for row in m[:cols]], [row[cols:] for row in m[cols:]])
 
 

@@ -32,30 +32,6 @@ DOWN = "down"
 TIGHT = "tight"
 
 
-def _is_pure_up(s: IntegerSet) -> bool:
-    return not s.is_all and s.down is None and not s.points and s.up is not None
-
-
-def _is_pure_down(s: IntegerSet) -> bool:
-    return not s.is_all and s.up is None and not s.points and s.down is not None
-
-
-def _admissible(s: IntegerSet) -> bool:
-    return s.is_all or s.is_empty() or _is_pure_up(s) or _is_pure_down(s)
-
-
-def _complement(s: IntegerSet) -> IntegerSet:
-    if s.is_all:
-        return IntegerSet.empty()
-    if s.is_empty():
-        return IntegerSet.all()
-    if _is_pure_up(s):
-        return IntegerSet.at_most(s.up - 1)
-    if _is_pure_down(s):
-        return IntegerSet.at_least(s.down + 1)
-    raise NotAShadowPattern(f"side colouring {s} is not a ray shape")
-
-
 def hybrid_sets(direction: str, m: int, t: int) -> tuple[IntegerSet, IntegerSet]:
     """(plus-side, minus-side) ln levels of a hybrid class colouring."""
     if t not in (-1, 0, 1):
@@ -76,7 +52,7 @@ class ClassShadow:
     minus_ln: IntegerSet
 
     def __post_init__(self) -> None:
-        if not _admissible(self.plus_ln) or not _admissible(self.minus_ln):
+        if not self.plus_ln.is_ray_shape() or not self.minus_ln.is_ray_shape():
             raise NotAShadowPattern(
                 f"class {self.rep}: side colourings must be rays, all, or nothing"
             )
@@ -85,7 +61,15 @@ class ClassShadow:
         return self.plus_ln if side > 0 else self.minus_ln
 
     def in_set(self, side: int) -> IntegerSet:
-        return _complement(self.ln_set(side))
+        """Complement of the ln side; both sides are ray shapes."""
+        s = self.ln_set(side)
+        if s.is_all:
+            return IntegerSet.empty()
+        if s.up is not None:
+            return IntegerSet.at_most(s.up - 1)
+        if s.down is not None:
+            return IntegerSet.at_least(s.down + 1)
+        return IntegerSet.all()
 
     @property
     def config(self) -> dict:
@@ -95,13 +79,14 @@ class ClassShadow:
             return {"family": FULL_LN, "m": 0, "t": 0}
         if p.is_empty() and m.is_empty():
             return {"family": FULL_IN, "m": 0, "t": 0}
-        if _is_pure_up(p) and _is_pure_up(m):
+        # both sides are ray shapes: an up (down) threshold is a pure up (down) ray
+        if p.up is not None and m.up is not None:
             mm = p.up
             t = 1 - mm - m.up
             if t not in (-1, 0, 1):
                 raise NotAShadowPattern(f"up thresholds ({p.up},{m.up}) give defect {t}")
             return {"family": UP, "m": mm, "t": t}
-        if _is_pure_down(p) and _is_pure_down(m):
+        if p.down is not None and m.down is not None:
             mm = p.down
             t = mm + m.down + 1
             if t not in (-1, 0, 1):

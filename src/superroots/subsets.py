@@ -304,14 +304,6 @@ class ParabolicCheck:
         return not self.additive_violations and not self.covering_failures
 
 
-def _is_ray_shape(s: IntegerSet) -> bool:
-    if s.is_all or s.is_empty():
-        return True
-    if s.points:
-        return False
-    return (s.up is None) != (s.down is None)
-
-
 def _ray_sum(x: IntegerSet, y: IntegerSet) -> IntegerSet:
     """Minkowski sum of two ray-shaped level sets."""
     if x.is_empty() or y.is_empty():
@@ -334,8 +326,8 @@ def check_parabolic(P: RootSubset, S: RootSubset, kmax: int) -> ParabolicCheck:
     """
     system = P.system
     additive = []
-    all_rays = all(_is_ray_shape(ks) for ks in P.lines.values()) and all(
-        _is_ray_shape(ks) for ks in S.lines.values()
+    all_rays = all(ks.is_ray_shape() for ks in P.lines.values()) and all(
+        ks.is_ray_shape() for ks in S.lines.values()
     )
     if all_rays:
         items = list(P.lines.items())

@@ -23,9 +23,7 @@ from math import ceil, floor, gcd
 
 from .errors import DirectionNotDecidable
 from .intsets import IntegerSet
-# solve stays bound here for the benchmark tracer, whose self-test wraps it at
-# every module that imports it
-from .linalg import factor, solve  # noqa: F401
+from .linalg import solve
 from .roots import Root
 
 EXT_POINT = "point"
@@ -203,12 +201,12 @@ def _transversal_cover(
     """Points of {target_anchor + m*step} on a non-parallel component.
 
     The two steps are nonzero and not parallel, so the columns of
-    m*step - m'*comp.step are independent and ``factor`` succeeds; its
-    ``solve`` returns None unless the solution is exact.
+    m*step - m'*comp.step are independent and ``solve`` returns the one
+    solution, or None when there is none.
     """
     rows = [[s, -c] for s, c in zip(_entries(step), _entries(comp.step))]
     rhs = [c - t for c, t in zip(_entries(comp.anchor), _entries(target_anchor))]
-    sol = factor(rows).solve(rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         return []
     m, mp = sol

@@ -127,6 +127,12 @@ def test_axioms_bad_rank_exits_2():
     expect_usage_error("axioms", "--type", "B,0,0")
 
 
+def test_axioms_refuses_affine_options():
+    # the finite axioms have no delta window and no parameter to set
+    expect_usage_error("axioms", "--type", "D21L", "--lambda", "1/2")
+    expect_usage_error("axioms", "--type", "B,1,1", "--window", "3")
+
+
 # -- shadow-validate ------------------------------------------------------------------
 
 

@@ -41,6 +41,7 @@ from superroots import (
     RankError,
     Root,
     TooFewSamples,
+    build_affine,
     build_finite,
     check_supersystem_axioms,
     even_part_label,
@@ -49,6 +50,7 @@ from superroots import (
     root,
     root_string,
 )
+from superroots.linalg import rank
 from superroots.roots import eps_delta_basis
 
 EXPECTED_COUNTS = {
@@ -131,6 +133,19 @@ def test_build_stamps_canonical_ids():
     assert build_finite(FiniteTypeId("CN", 0, 3)) == build_finite(FiniteTypeId("CN", 1, 3))
     assert build_finite(FiniteTypeId("S", 3, 0)).type_id == FiniteTypeId("S", 3, 3)
     assert build_finite(FiniteTypeId("S", 3, 0)) == build_finite(FiniteTypeId("S", 3, 3))
+
+
+def test_ids_are_canonical():
+    # the affine system and its finite part carry one and the same id
+    for tid in (FiniteTypeId("CN", 0, 3), FiniteTypeId("CN", 5, 3), FiniteTypeId("D", 1, 2)):
+        system = build_affine(tid)
+        assert system.type_id == system.finite.type_id == FiniteTypeId("CN", 1, 3)
+    assert FiniteTypeId("S", 3, 0) == FiniteTypeId("S", 3, 3)
+    for fam in ("F4", "G3", "D21L", "PURE"):
+        with pytest.raises(RankError, match="takes no ranks"):
+            FiniteTypeId(fam, 3, 2)
+    with pytest.raises(RankError):
+        FiniteTypeId("F4", 0, 1)
 
 
 def test_token_round_trip():
@@ -332,3 +347,36 @@ def test_span_rank():
     assert build_finite(parse_type_token("A,1,1")).span_rank == 2
     assert build_finite(parse_type_token("F4")).span_rank == 4
     assert build_finite(parse_type_token("D21L")).span_rank == 3
+
+
+def _greedy_span_basis(rs):
+    """Oracle: keep each root that raises the rank of the roots kept so far."""
+    basis, mat = [], []
+    for r in rs.nonzero:
+        if rank(mat + [list(r.coords)]) > len(mat):
+            mat.append(list(r.coords))
+            basis.append(r)
+    return tuple(basis)
+
+
+def _small_ids():
+    ids = {FiniteTypeId(fam) for fam in ("F4", "G3", "D21L")}
+    for fam in ("A", "ANN", "B", "CN", "C", "D", "BC", "S"):
+        for m in range(5):
+            for n in range(5):
+                try:
+                    ids.add(FiniteTypeId(fam, m, n))
+                except RankError:
+                    pass
+    return sorted(ids, key=lambda t: (t.family, t.m, t.n))
+
+
+def test_span_basis_matches_greedy_rank_loop():
+    # axiom (f) takes its span basis from one elimination; every finite id
+    # with m, n <= 4 gets the basis of the root-by-root rank loop
+    ids = _small_ids()
+    assert len(ids) == 109
+    for tid in ids:
+        rs = build_finite(tid)
+        assert rs.span_basis == _greedy_span_basis(rs), tid
+        assert len(rs.span_basis) == rs.span_rank, tid
