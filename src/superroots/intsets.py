@@ -9,6 +9,8 @@ correction.  The class keeps a normal form so equality is structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import ceil, floor
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,24 @@ class IntegerSet:
     @staticmethod
     def of(*pts: int) -> "IntegerSet":
         return IntegerSet(points=frozenset(pts))
+
+    @staticmethod
+    def where_nonnegative(c: Fraction, w: Fraction) -> "IntegerSet":
+        """The levels k with c + k*w >= 0."""
+        if w == 0:
+            return IntegerSet.all() if c >= 0 else IntegerSet.empty()
+        if w > 0:
+            return IntegerSet.at_least(ceil(-c / w))
+        return IntegerSet.at_most(floor(-c / w))
+
+    @staticmethod
+    def where_positive(c: Fraction, w: Fraction) -> "IntegerSet":
+        """The levels k with c + k*w > 0."""
+        if w == 0:
+            return IntegerSet.all() if c > 0 else IntegerSet.empty()
+        if w > 0:
+            return IntegerSet.at_least(floor(-c / w) + 1)
+        return IntegerSet.at_most(ceil(-c / w) - 1)
 
     @staticmethod
     def make(down: int | None, up: int | None, pts) -> "IntegerSet":
@@ -180,6 +200,18 @@ class IntegerSet:
         if self.up is not None and (other.up is None or other.up > self.up):
             return False
         return all(p in other for p in self.points)
+
+    def first_in(self, window: range) -> int | None:
+        """The least member inside a step-1 ``window``, or None."""
+        lo, hi = window.start, window.stop - 1
+        if lo > hi:
+            return None
+        if self.is_all or (self.down is not None and self.down >= lo):
+            return lo
+        found = [p for p in self.points if lo <= p <= hi]
+        if self.up is not None and self.up <= hi:
+            found.append(max(self.up, lo))
+        return min(found, default=None)
 
     def complement_in(self, window: range) -> list[int]:
         return [k for k in window if k not in self]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import ceil, floor
+from functools import cache
 
 from .affine import AffineRootSystem
 from .errors import NotAShadowPattern
@@ -225,6 +225,7 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
     before ``sum2``.
     """
     system = shadow.system
+    fmt = cache(system.format)  # window roots recur across violations
     window = range(-kmax, kmax + 1)
     lines = []  # (real finite vector, its ln levels in the window)
     for rep in system.real_class_reps:
@@ -268,8 +269,7 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
                                 alpha,
                                 beta,
                                 target,
-                                f"{system.format(alpha)} , {system.format(beta)} are ln "
-                                f"but {system.format(target)} is in",
+                                f"{fmt(alpha)} , {fmt(beta)} are ln but {fmt(target)} is in",
                             )
                         )
     # scale consistency between the f and 2f lines
@@ -291,7 +291,7 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
                             a,
                             None,
                             b,
-                            f"{system.format(a)} and {system.format(b)} disagree",
+                            f"{fmt(a)} and {fmt(b)} disagree",
                         )
                     )
     return ShadowReport(tuple(violations))
@@ -314,15 +314,10 @@ def induce_from_functional(
     def value(f: Root) -> Q:
         return sum((w * c for w, c in zip(weights, f.coords)), Q(0))
 
-    def side_set(c: Q) -> IntegerSet:
-        # levels k with c + k*wd > 0
-        boundary = -c / wd
-        if wd > 0:
-            return IntegerSet.at_least(floor(boundary) + 1)
-        return IntegerSet.at_most(ceil(boundary) - 1)
-
     out = []
     for rep in system.real_class_reps:
         c = value(rep)
-        out.append(ClassShadow(rep, side_set(c), side_set(-c)))
+        out.append(
+            ClassShadow(rep, IntegerSet.where_positive(c, wd), IntegerSet.where_positive(-c, wd))
+        )
     return Shadow.of(system, out)

@@ -40,11 +40,15 @@ class RootSubset:
     def levels(self, line: Root) -> IntegerSet:
         return self.lines.get(line, IntegerSet.empty())
 
-    def contains(self, r: Root) -> bool:
+    def levels_through(self, r: Root) -> IntegerSet:
+        """The levels on the line through ``r``; empty off the system."""
         if not self.system.contains(r):
-            return False
+            return IntegerSet.empty()
         c = self.system.canonicalize(r)
-        return c.k in self.levels(Root(c.coords, 0, c.sigma))
+        return self.levels(Root(c.coords, 0, c.sigma))
+
+    def contains(self, r: Root) -> bool:
+        return r.k in self.levels_through(r)
 
     def __contains__(self, r: Root) -> bool:
         return self.contains(r)
@@ -94,14 +98,6 @@ class RootSubset:
         return RootSubset.of(self.system, keep)
 
 
-def _line_levels(sub: RootSubset, r: Root) -> IntegerSet:
-    """The levels of ``sub`` on the line through ``r``; empty off the system."""
-    if not sub.system.contains(r):
-        return IntegerSet.empty()
-    c = sub.system.canonicalize(r)
-    return sub.levels(Root(c.coords, 0, c.sigma))
-
-
 def _window_violations(
     P: RootSubset, kmax: int, S: RootSubset | None = None
 ) -> list[tuple[Root, Root, Root]]:
@@ -124,11 +120,11 @@ def _window_violations(
             if not ka or not kb:
                 continue
             t = la + lb
-            have = _line_levels(P, t)
+            have = P.levels_through(t)
             if S is None:
                 need = IntegerSet.all() if P.system.contains(t) else IntegerSet.empty()
             else:
-                need = _line_levels(S, t)
+                need = S.levels_through(t)
             if need.is_subset(have):
                 continue
             sums = range(ka[0] + kb[0], ka[-1] + kb[-1] + 1)

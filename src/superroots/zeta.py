@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import ceil, floor
+from math import ceil
 from typing import NamedTuple
 
 from .affine import AffineRootSystem
@@ -62,6 +62,34 @@ class LinearFunctional:
         if any(dot(row, vec) for row in self._kernel):
             raise OutsideSpan(f"{r} is outside the functional's span")
         return dot(self._covector, vec)
+
+    def on_line(self, line: Root) -> tuple[Q, Q, IntegerSet]:
+        """(c, w, levels) for the line of ``line``: the value of line + k*delta
+        is c + k*w at every level k in ``levels``, the levels where it lies in
+        the span.
+
+        Each kernel row has residue a + k*b there, a from the level-0 root and
+        b from delta, so the span holds all levels, none, or the one integral
+        k that zeroes every residue.
+        """
+        vec = Root(line.coords, 0, line.sigma).vector()
+        if len(vec) != len(self._covector):
+            raise BasisMismatch(f"{line} does not live over the functional's basis")
+        at = None  # the level some residue pins, once one does
+        levels = IntegerSet.all()
+        for row in self._kernel:
+            a, b = dot(row, vec), row[-2]
+            if b == 0:
+                if a:
+                    levels = IntegerSet.empty()
+                    break
+            elif at is None:
+                at = -a / b
+                levels = IntegerSet.of(int(at)) if at.denominator == 1 else IntegerSet.empty()
+            elif -a / b != at:
+                levels = IntegerSet.empty()
+                break
+        return dot(self._covector, vec), self._covector[-2], levels
 
     def mirrored(self) -> "LinearFunctional":
         return LinearFunctional(
@@ -342,16 +370,6 @@ def construct_zeta(
     return ZetaResult(functional, _case_label(us), UP, comps, zd)
 
 
-def _functional_levels(c: Q, w: Q) -> IntegerSet:
-    """Levels k with c + k*w >= 0."""
-    if w == 0:
-        return IntegerSet.all() if c >= 0 else IntegerSet.empty()
-    boundary = -c / w
-    if w > 0:
-        return IntegerSet.at_least(ceil(boundary))
-    return IntegerSet.at_most(floor(boundary))
-
-
 def verify_zeta(
     result: ZetaResult,
     S: RootSubset,
@@ -363,9 +381,16 @@ def verify_zeta(
     * the delta value is positive (upward) or negative (downward),
     * the union of the component parabolics equals the nonnegative cone
       of the functional, exactly on every line of S,
-    * windowed double check of the same statement on members,
-    * when a shadow is supplied: strictly positive real members are ln
-      and strictly negative real members are in.
+    * on members of S in the window |k| <= kmax, the functional's own sign
+      agrees with membership in that union (the first disagreement only),
+    * when a shadow is supplied: strictly positive real members in the
+      window are ln and strictly negative ones are in.
+
+    Each line of S is decided once, from the functional's value c + k*w
+    on it and the levels where it meets the span (``on_line``).  Window
+    levels are enumerated only on a line that fails, to list its
+    witnesses in the order of a scan over ``S.window_members(kmax)``;
+    ``tests/test_pair_scans.py`` checks the result against that scan.
     """
     func = result.functional
     problems: list[str] = []
@@ -378,38 +403,61 @@ def verify_zeta(
     P = result.components[0].parabolic
     for zc in result.components[1:]:
         P = P.union(zc.parabolic)
+    window = range(-kmax, kmax + 1)
+    spans = {}  # line -> (c, w, levels of S on it that lie in the span)
     for line, ks in S.lines.items():
         try:
-            c = func.value(Root(line.coords, 0, line.sigma))
+            c, w, span = func.on_line(line)
         except BasisMismatch:
+            span = IntegerSet.empty()
+        else:
+            spans[line] = (c, w, ks.intersect(span))
+        if 0 not in span:
             problems.append(f"line {sysm.format(line)} outside the functional span")
             continue
-        want = _functional_levels(c, zd)
+        want = IntegerSet.where_nonnegative(c, zd)
         got = P.levels(line)
         if want != got:
             problems.append(
                 f"line {sysm.format(line)}: cone gives {want}, parabolic union gives {got}"
             )
-    for r in S.window_members(kmax):
-        try:
-            val = func.value(r)
-        except BasisMismatch:
-            continue  # already reported by the line pass above
-        if (val >= 0) != P.contains(r):
-            problems.append(f"{sysm.format(r)}: value {val} vs membership {P.contains(r)}")
-            break
+    ordered = sorted(S.lines, key=Root.key)  # the order of S.window_members
+
+    def membership_witnesses():
+        for line in ordered:
+            if line not in spans:
+                continue
+            c, w, live = spans[line]
+            inside = P.levels_through(line)
+            if live.intersect(IntegerSet.where_nonnegative(c, w)) == live.intersect(inside):
+                continue
+            for k in window:
+                if k in live and (c + k * w >= 0) != (k in inside):
+                    yield Root(line.coords, k, line.sigma)
+
+    r = next(membership_witnesses(), None)
+    if r is not None:
+        problems.append(f"{sysm.format(r)}: value {func.value(r)} vs membership {P.contains(r)}")
     if shadow is not None:
-        for r in S.window_members(kmax):
-            if sysm.classify(r) != "real":
+        for line in ordered:
+            # classify comes first: off the system it raises, in or out of the span
+            first = S.lines[line].first_in(window)
+            if first is None or sysm.classify(Root(line.coords, first, line.sigma)) != "real":
                 continue
-            try:
-                val = func.value(r)
-            except BasisMismatch:
+            if line not in spans:
                 continue
-            if val > 0 and not shadow.is_ln(r):
-                problems.append(f"{sysm.format(r)}: positive but not ln")
-            if val < 0 and not shadow.is_in(r):
-                problems.append(f"{sysm.format(r)}: negative but not in")
+            c, w, live = spans[line]
+            ln = shadow.ln_levels(line)
+            positive = live.intersect(IntegerSet.where_positive(c, w))
+            negative = live.intersect(IntegerSet.where_positive(-c, -w))
+            if positive.is_subset(ln) and negative.intersect(ln).is_empty():
+                continue
+            for k in window:
+                r = Root(line.coords, k, line.sigma)
+                if k in positive and k not in ln:
+                    problems.append(f"{sysm.format(r)}: positive but not ln")
+                if k in negative and k in ln:
+                    problems.append(f"{sysm.format(r)}: negative but not in")
     return problems
 
 

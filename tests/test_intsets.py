@@ -7,6 +7,8 @@ both rays and all finite points.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -119,3 +121,36 @@ def test_structural_equality_is_extensional(a, b):
 def test_complement_in():
     s = IntegerSet.at_least(2)
     assert s.complement_in(range(0, 5)) == [0, 1]
+
+
+@given(intsets(), small_ints, st.integers(min_value=-1, max_value=12))
+def test_first_in_matches_windows(a, lo, width):
+    window = range(lo, lo + width)
+    assert a.first_in(window) == next((k for k in window if k in a), None)
+
+
+def test_first_in_examples():
+    assert IntegerSet.all().first_in(range(-3, 4)) == -3
+    assert IntegerSet.at_most(-5).first_in(range(-3, 4)) is None
+    assert IntegerSet.make(-5, 9, [1, 2]).first_in(range(-3, 4)) == 1
+    assert IntegerSet.at_least(-7).first_in(range(-3, 4)) == -3
+    assert IntegerSet.of(4).first_in(range(-3, 4)) is None
+    assert IntegerSet.all().first_in(range(2, 2)) is None
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@given(rationals, rationals)
+def test_sign_levels_match_windows(c, w):
+    assert window_of(IntegerSet.where_nonnegative(c, w)) == {k for k in WINDOW if c + k * w >= 0}
+    assert window_of(IntegerSet.where_positive(c, w)) == {k for k in WINDOW if c + k * w > 0}
+
+
+def test_sign_levels_examples():
+    half = Fraction(1, 2)
+    assert IntegerSet.where_nonnegative(Fraction(-1), half) == IntegerSet.at_least(2)
+    assert IntegerSet.where_positive(Fraction(-1), half) == IntegerSet.at_least(3)
+    assert IntegerSet.where_positive(Fraction(1), -half) == IntegerSet.at_most(1)
+    assert IntegerSet.where_nonnegative(Fraction(0), Fraction(0)) == IntegerSet.all()
+    assert IntegerSet.where_positive(Fraction(0), Fraction(0)) == IntegerSet.empty()

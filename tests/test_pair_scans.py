@@ -2,10 +2,11 @@
 
 ``closure_violations``, ``check_parabolic``'s non-ray fallback,
 ``validate_shadow`` and ``root_string`` decide each pair of roots from the
-pair's lines and a few integer levels.  The reference functions below are
-the plain windowed scans that enumerate every pair of window roots; the
-exact versions must return the same answers in the same order, and raise
-the same errors.
+pair's lines and a few integer levels; ``verify_zeta`` decides each line
+from the functional's exact level sets on it.  The reference functions
+below are the plain windowed scans that enumerate every window root or
+pair of window roots; the exact versions must return the same answers in
+the same order, and raise the same errors.
 """
 
 from __future__ import annotations
@@ -38,8 +39,18 @@ from superroots import (
     tight_class,
     validate_shadow,
 )
+from superroots.errors import BasisMismatch, NotARoot, SuperrootsError
 from superroots.roots import KIND_REAL, eps_delta_basis
 from superroots.shadows import DOWN, UP, ShadowReport, Violation
+from superroots.subsets import component_parabolic
+from superroots.zeta import (
+    LinearFunctional,
+    ZetaComponent,
+    ZetaResult,
+    construct_zeta,
+    hybrid_assignment_shadows,
+    verify_zeta,
+)
 
 # -- reference scans --------------------------------------------------------------
 
@@ -173,6 +184,54 @@ def scanned_axioms_c_d(rs: FiniteRootSet) -> tuple[str, str]:
     )
 
 
+def windowed_verify_zeta(result: ZetaResult, S: RootSubset, kmax: int, shadow=None) -> list[str]:
+    """verify_zeta with its membership and shadow checks as root-by-root window scans."""
+    func = result.functional
+    problems: list[str] = []
+    sysm = S.system
+    zd = result.zeta_delta
+    if result.direction == UP and zd <= 0:
+        problems.append(f"delta value {zd} not positive")
+    if result.direction == DOWN and zd >= 0:
+        problems.append(f"delta value {zd} not negative")
+    P = result.components[0].parabolic
+    for zc in result.components[1:]:
+        P = P.union(zc.parabolic)
+    for line, ks in S.lines.items():
+        try:
+            c = func.value(Root(line.coords, 0, line.sigma))
+        except BasisMismatch:
+            problems.append(f"line {sysm.format(line)} outside the functional span")
+            continue
+        want = IntegerSet.where_nonnegative(c, zd)
+        got = P.levels(line)
+        if want != got:
+            problems.append(
+                f"line {sysm.format(line)}: cone gives {want}, parabolic union gives {got}"
+            )
+    for r in S.window_members(kmax):
+        try:
+            val = func.value(r)
+        except BasisMismatch:
+            continue
+        if (val >= 0) != windowed_contains(P, r):
+            problems.append(f"{sysm.format(r)}: value {val} vs membership {windowed_contains(P, r)}")
+            break
+    if shadow is not None:
+        for r in S.window_members(kmax):
+            if sysm.classify(r) != "real":
+                continue
+            try:
+                val = func.value(r)
+            except BasisMismatch:
+                continue
+            if val > 0 and not shadow.is_ln(r):
+                problems.append(f"{sysm.format(r)}: positive but not ln")
+            if val < 0 and not shadow.is_in(r):
+                problems.append(f"{sysm.format(r)}: negative but not in")
+    return problems
+
+
 # -- cases ---------------------------------------------------------------------------
 
 #: the shadow-validation, decomposition and axiom types the benchmark runs
@@ -185,6 +244,9 @@ AXIOM_TYPES = [
 ]
 #: types with sigma-carrying lines (equal blocks of size two and three)
 ANN_TYPES = ["A,1,1", "A,2,2"]
+#: zeta types: rank-1 components, the rank-2 A2 component, G3 and sigma lines
+ZETA_TYPES = ["B,1,1", "D21L", "A,2,1", "G3", "A,2,2"]
+HYBRID_PAIRS = [(m, t) for m in (-1, 0, 1) for t in (-1, 0, 1)]
 
 
 def system(token):
@@ -393,3 +455,120 @@ def test_axioms_c_and_d_both_fail_like_the_scans():
     report = check_supersystem_axioms(rs)
     assert report.failed_axioms[:2] == ("c", "d")
     assert tuple(str(report).splitlines()[2:4]) == scanned_axioms_c_d(rs)
+
+
+# -- verify_zeta ---------------------------------------------------------------------------
+
+
+def zeta_system(token):
+    """(system, even subset, components)."""
+    sys_ = system(token)
+    sub = even_subset(sys_)
+    return sys_, sub, decompose(sys_, sub, kmax=6).components
+
+
+def zeta_case(sys_, comps, assignment, direction):
+    """(result, shadow table), or None when the construction raises."""
+    table = hybrid_assignment_shadows(sys_, comps, assignment, direction)
+    try:
+        parabolics = tuple(component_parabolic(sys_, c, table, direction) for c in comps)
+        return construct_zeta(sys_, comps, parabolics, direction), table
+    except SuperrootsError:
+        return None
+
+
+def assert_verify_matches_windowed(result, sub, shadows) -> int:
+    """Compare on kmax 3, 6 and 10 for each shadow; returns the problems seen."""
+    seen = 0
+    for kmax in (3, 6, 10):
+        for shadow in shadows:
+            got = verify_zeta(result, sub, kmax, shadow=shadow)
+            assert got == windowed_verify_zeta(result, sub, kmax, shadow=shadow)
+            seen += len(got)
+    return seen
+
+
+@pytest.mark.parametrize("direction", [UP, DOWN])
+@pytest.mark.parametrize("token", ZETA_TYPES)
+def test_verify_zeta_matches_windowed_scan(token, direction):
+    sys_, sub, comps = zeta_system(token)
+    rng = random.Random(f"zeta {token} {direction}")
+    built = seen = 0
+    for _ in range(3):
+        assignment = [rng.choice(HYBRID_PAIRS) for _ in comps]
+        case = zeta_case(sys_, comps, assignment, direction)
+        if case is None:
+            continue
+        built += 1
+        result, table = case
+        # a colouring from another assignment disagrees with the functional
+        other = hybrid_assignment_shadows(
+            sys_, comps, [rng.choice(HYBRID_PAIRS) for _ in comps], direction
+        )
+        seen += assert_verify_matches_windowed(
+            result, sub, (None, Shadow(sys_, table), Shadow(sys_, other))
+        )
+    assert built and seen  # the comparison saw problems, not only empty lists
+
+
+def _b11_case():
+    sys_, sub, comps = zeta_system("B,1,1")
+    result, table = zeta_case(sys_, comps, [(0, 0), (0, 1)], UP)
+    return sys_, sub, comps, result, (None, Shadow(sys_, table))
+
+
+def test_verify_zeta_matches_windowed_scan_on_tampered_results():
+    sys_, sub, comps, result, shadows = _b11_case()
+    tampered = ZetaResult(
+        result.functional, result.case, result.direction, result.components, Q(-3)
+    )
+    shifted = hybrid_assignment_shadows(sys_, comps, [(0, 0), (1, 0)], UP)
+    swapped = ZetaResult(
+        result.functional,
+        result.case,
+        result.direction,
+        (
+            result.components[0],
+            ZetaComponent(
+                comps[1], result.components[1].base, component_parabolic(sys_, comps[1], shifted, UP)
+            ),
+        ),
+        result.zeta_delta,
+    )
+    partial = construct_zeta(sys_, comps[:1], (result.components[0].parabolic,), UP)
+    seen = [assert_verify_matches_windowed(r, sub, shadows) for r in (tampered, swapped, partial)]
+    assert all(seen)
+
+
+def test_verify_zeta_matches_windowed_scan_when_the_span_misses_delta():
+    sys_, sub, _, result, shadows = _b11_case()
+    e1_up = Root((Q(1), Q(0)), 1, 0)
+    d1_up = Root((Q(0), Q(2)), 1, 0)
+    for func in (
+        # every line of the even part meets this span at one level
+        LinearFunctional((e1_up, d1_up), (Q(1), Q(-1))),
+        # e1 + k*delta lies in this span at k = 1/2 only, so at no level
+        LinearFunctional((Root((Q(2), Q(0)), 1, 0), d1_up), (Q(3), Q(1))),
+        # over another ambient basis: every line is a basis mismatch
+        LinearFunctional((root(1, 0, 0),), (Q(1),)),
+    ):
+        hand_built = ZetaResult(func, result.case, UP, result.components, result.zeta_delta)
+        assert assert_verify_matches_windowed(hand_built, sub, shadows)
+
+
+def test_verify_zeta_raises_like_the_windowed_scan_off_the_system():
+    sys_, sub, _, result, (_, shadow) = _b11_case()
+    stray = Root((Q(1), Q(3)), 0, 0)
+    assert not sys_.contains(stray)
+    with_stray = RootSubset.of(sys_, {**sub.lines, stray: IntegerSet.at_least(2)})
+    # no window member on the stray line at kmax 1, and no classify without a shadow
+    for kmax, colouring in ((1, shadow), (3, None)):
+        got = verify_zeta(result, with_stray, kmax, shadow=colouring)
+        assert got == windowed_verify_zeta(result, with_stray, kmax, shadow=colouring)
+        assert any("cone gives" in p for p in got)
+    errors = []
+    for verify in (verify_zeta, windowed_verify_zeta):
+        with pytest.raises(NotARoot) as info:
+            verify(result, with_stray, 3, shadow=shadow)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]

@@ -131,6 +131,75 @@ def test_functional_mirrored_swaps_level_sign():
         assert mirr.value(Root(coords, k, 0)) == func.value(Root(coords, -k, 0))
 
 
+def test_functional_on_line_with_delta_in_the_span():
+    func = LinearFunctional(
+        (root(-1, 0), Root((Q(1), Q(0)), 1, 0)), (Q(1), Q(3))
+    )
+    # value(e1 + k*delta) = -1 + 4k on every level
+    assert func.on_line(root(1, 0)) == (-1, 4, IntegerSet.all())
+    # the level of the root passed in is ignored: it names the line
+    assert func.on_line(Root((Q(1), Q(0)), 5, 0)) == (-1, 4, IntegerSet.all())
+    for k in (-2, 0, 3):
+        assert func.value(Root((Q(1), Q(0)), k, 0)) == -1 + 4 * k
+    # e2 is off the span whatever the level
+    assert func.on_line(root(0, 1))[2] == IntegerSet.empty()
+
+
+def test_functional_on_line_with_delta_outside_the_span():
+    # span {e1 + delta, 2e2 + delta}: each line meets it at one level at most
+    func = LinearFunctional(
+        (Root((Q(1), Q(0)), 1, 0), Root((Q(0), Q(2)), 1, 0)), (Q(1), Q(-1))
+    )
+    assert func.on_line(root(1, 0))[2] == IntegerSet.of(1)
+    assert func.on_line(root(-1, 0))[2] == IntegerSet.of(-1)
+    assert func.on_line(root(0, 0))[2] == IntegerSet.of(0)
+    assert func.on_line(root(1, 2))[2] == IntegerSet.of(2)
+    c, w, _ = func.on_line(root(1, 2))
+    assert c + 2 * w == func.value(Root((Q(1), Q(2)), 2, 0)) == 0
+    # e1 + 4e2 = (e1 + delta) + 2*(2e2 + delta) - 3*delta
+    assert func.on_line(root(1, 4))[2] == IntegerSet.of(3)
+    # a sigma part is off the span at every level
+    assert func.on_line(Root((Q(1), Q(0)), 0, 1))[2] == IntegerSet.empty()
+
+
+def test_functional_on_line_non_integral_level_is_empty():
+    # e1 + k*delta = (2e1 + delta)/2 needs k = 1/2
+    func = LinearFunctional(
+        (Root((Q(2), Q(0)), 1, 0), Root((Q(0), Q(2)), 1, 0)), (Q(3), Q(1))
+    )
+    assert func.on_line(root(1, 0))[2] == IntegerSet.empty()
+    assert func.on_line(root(2, 0))[2] == IntegerSet.of(1)
+
+
+def test_functional_on_line_does_not_hang_on_the_kernel_rows():
+    func = LinearFunctional(
+        (Root((Q(1), Q(0)), 1, 0), Root((Q(0), Q(2)), 1, 0)), (Q(1), Q(-1))
+    )
+    mixed = LinearFunctional(func.basis_roots, func.values)
+    # another basis of the same left null space (a triangular change of rows),
+    # with delta in more than one row
+    rows = func._kernel
+    object.__setattr__(
+        mixed,
+        "_kernel",
+        rows[:1] + tuple(tuple(x + y for x, y in zip(rows[0], row)) for row in rows[1:]),
+    )
+    assert sum(1 for row in mixed._kernel if row[-2]) >= 2
+    for coords in ((1, 0), (-1, 0), (0, 0), (1, 2), (1, 4), (1, 1)):
+        for sigma in (0, 1):
+            line = Root(tuple(Q(x) for x in coords), 0, sigma)
+            assert mixed.on_line(line) == func.on_line(line)
+
+
+def test_functional_on_line_rejects_another_basis_length():
+    func = LinearFunctional(
+        (root(-1, 0), Root((Q(1), Q(0)), 1, 0)), (Q(1), Q(1))
+    )
+    with pytest.raises(BasisMismatch) as exc:
+        func.on_line(root(1, 0, 0))
+    assert not isinstance(exc.value, OutsideSpan)
+
+
 # -- select_base -----------------------------------------------------------------
 
 
