@@ -182,7 +182,10 @@ class Shadow:
 
     def class_of(self, r: Root) -> tuple[ClassShadow, int]:
         rep, side = self.system.class_rep(r)
-        return self.classes[rep], side
+        cs = self.classes.get(rep)
+        if cs is None:
+            raise NotAShadowPattern(f"class of {self.system.format(rep)} has no colouring")
+        return cs, side
 
     def is_ln(self, r: Root) -> bool:
         cs, side = self.class_of(r)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import ceil
+from math import lcm
 from typing import NamedTuple
 
 from .affine import AffineRootSystem
@@ -124,33 +124,6 @@ class BaseChoice:
         return delta - self.a0
 
 
-def _candidate_bases(system: AffineRootSystem, comp: Component, kcap: int):
-    """All delta-shifted simple systems reachable by reflections, capped."""
-    dot_base = find_base(comp.dot)
-    theta, _ = highest_root(comp.dot, dot_base)
-    start = tuple(sorted(dot_base + (system.delta - theta,), key=lambda r: r.key()))
-    seen = {start}
-    queue = [start]
-    while queue:
-        base = queue.pop()
-        for a in base:
-            image = []
-            ok = True
-            for b in base:
-                nb = -a if b == a else b - a.scale(Q(system.cartan(b, a)))
-                if abs(nb.k) > kcap:
-                    ok = False
-                    break
-                image.append(nb)
-            if not ok:
-                continue
-            nxt = tuple(sorted(image, key=lambda r: r.key()))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return sorted(seen, key=lambda base: tuple(r.key() for r in base))
-
-
 def _strictly_positive(P: RootSubset, r: Root) -> bool:
     return P.contains(r) and not P.contains(-r)
 
@@ -173,37 +146,99 @@ class _BaseCatalogue(NamedTuple):
 
 
 def _base_catalogue(system: AffineRootSystem, comp: Component, kcap: int) -> _BaseCatalogue:
-    """Orbit bases with positive integral marks and thresholds th(f) + th(-f) = 1.
+    """The start base's reflection orbit within |k| <= kcap, with marks and thresholds.
 
-    Each base is factored once; delta and every line are expanded over it.
-    The line threshold th(f) is the least k with f + k*delta positive.
+    The start base is the component's base plus delta - theta.  The walk
+    holds every orbit base as integers over it, one position per start
+    element: the element's coordinates and delta-level, and each line's
+    coordinates x over the base.  The reflection in the element e_j at
+    position j sends element i to e_i - A[i][j]*e_j and changes a line's
+    x_j alone, by <f, e_j> = sum_i x_i*A[i][j].  Two invariants make the
+    start base's data hold at every base, index by index: a reflection is
+    an isometry, so the Cartan matrix A carries over, and it fixes delta,
+    so the marks (delta's coordinates) do too.  Roots are built once per
+    distinct element, at the end.
+
+    A base is kept when its marks are positive integers and its thresholds
+    satisfy th(f) + th(-f) = 1, th(f) being the least k with f + k*delta
+    positive: the largest ceil(-x_i / m_i).  Neither filter has rejected a
+    base on any type tried; ``tests/test_zeta.py`` checks that, and checks
+    the walk against a ``Root`` search with one factorisation per base.
     """
-    orbit = _candidate_bases(system, comp, kcap)
+    dot_base = find_base(comp.dot)
+    theta, _ = highest_root(comp.dot, dot_base)
+    start = tuple(sorted(dot_base + (system.delta - theta,), key=Root.key))
+    n = len(start)
+    columns = [tuple(system.cartan(b, a) for b in start) for a in start]  # columns[j][i] = A[i][j]
+    fac = factor_roots(start)
+    marks = fac.solve(system.delta.vector())
     lines = tuple(Root(f.coords, 0, f.sigma) for f in comp.vectors)
+    expansions = [fac.solve(line.vector()) for line in lines]
+    keep = (
+        marks is not None
+        and all(m.denominator == 1 and m > 0 for m in marks)
+        and None not in expansions
+    )
+    if keep:
+        # integer line coordinates, scaled by one common denominator
+        scale = lcm(*(x.denominator for xs in expansions for x in xs))
+        divisors = [int(m) * scale for m in marks]
+        first_xs = tuple(tuple(int(x * scale) for x in xs) for xs in expansions)
+    else:
+        first_xs = ()
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    first = (unit, tuple(b.k for b in start), first_xs)
+    orbit = {frozenset(unit): first}
+    stack = [first]
+    while stack:
+        coords, ks, xs = stack.pop()
+        for j, col in enumerate(columns):
+            kj = ks[j]
+            image_ks = tuple(k - a * kj for k, a in zip(ks, col))
+            if any(k > kcap or k < -kcap for k in image_ks):
+                continue
+            cj = coords[j]
+            image = tuple(
+                tuple(x - a * y for x, y in zip(c, cj)) if a else c for c, a in zip(coords, col)
+            )
+            key = frozenset(image)
+            if key in orbit:
+                continue
+            image_xs = tuple(
+                x[:j] + (x[j] - sum(xi * a for xi, a in zip(x, col)),) + x[j + 1:] for x in xs
+            )
+            orbit[key] = state = (image, image_ks, image_xs)
+            stack.append(state)
+    if not keep:
+        return _BaseCatalogue(len(orbit), (), lines, ())
+
+    # one Root per distinct element; ranks follow Root.key, so bases sort as roots would
+    built = {
+        c: sum((b.scale(x) for x, b in zip(c, start) if x), system.zero_root)
+        for c in set().union(*orbit)
+    }
+    by_rank = sorted(built, key=lambda c: built[c].key())
+    rank = {c: i for i, c in enumerate(by_rank)}
+    bases = []
+    for coords, _, xs in orbit.values():
+        order = sorted(range(n), key=lambda i: rank[coords[i]])
+        bases.append((tuple(rank[coords[i]] for i in order), order, xs))
+    bases.sort(key=lambda b: b[0])
     opposite = [comp.vectors.index(-f) for f in comp.vectors]
-    index: dict[Root, int] = {}
+    index: dict[int, int] = {}
     candidates = []
-    for elements in orbit:
-        fac = factor_roots(elements)
-        marks = fac.solve(system.delta.vector())
-        if marks is None or any(m.denominator != 1 or m <= 0 for m in marks):
-            continue
-        thresholds = []
-        for line in lines:
-            xs = fac.solve(line.vector())
-            if xs is None:
-                break
-            thresholds.append(max(ceil(-x / m) for x, m in zip(xs, marks)))
-        else:
-            if all(thresholds[i] + thresholds[j] == 1 for i, j in enumerate(opposite)):
-                candidates.append(
-                    _Candidate(
-                        tuple(index.setdefault(e, len(index)) for e in elements),
-                        tuple(int(m) for m in marks),
-                        tuple(thresholds),
-                    )
+    for ranks, order, xs in bases:
+        thresholds = tuple(max(-(x // d) for x, d in zip(line, divisors)) for line in xs)
+        if all(thresholds[i] + thresholds[j] == 1 for i, j in enumerate(opposite)):
+            candidates.append(
+                _Candidate(
+                    tuple(index.setdefault(r, len(index)) for r in ranks),
+                    tuple(int(marks[i]) for i in order),
+                    thresholds,
                 )
-    return _BaseCatalogue(len(orbit), tuple(index), lines, tuple(candidates))
+            )
+    roots = tuple(built[by_rank[r]] for r in index)
+    return _BaseCatalogue(len(orbit), roots, lines, tuple(candidates))
 
 
 def select_base(

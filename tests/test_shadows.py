@@ -189,6 +189,14 @@ def test_shadow_of_requires_full_coverage():
         Shadow.of(s, [hybrid_class(reps[0], UP, 0, 0)])
 
 
+def test_shadow_class_without_colouring_is_named():
+    # built directly, a Shadow skips Shadow.of's coverage check
+    s = b11()
+    with pytest.raises(NotAShadowPattern, match="class of -e1 has no colouring"):
+        Shadow(s, {}).is_ln(-root(1, 0))
+    with pytest.raises(NotAShadowPattern, match="class of -e1 has no colouring"):
+        Shadow(s, {}).ln_levels(root(1, 0))
+
 def test_shadow_rejects_non_real_query():
     from superroots import NotRealRoot
 

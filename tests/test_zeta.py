@@ -18,11 +18,15 @@ out by hand from the normalisation rules before being frozen here:
 """
 from __future__ import annotations
 
+import functools
+import time
 from fractions import Fraction as Q
+from math import ceil
 
 import pytest
 
 from superroots.affine import build_affine
+from superroots.basefind import factor_roots, find_base, highest_root
 from superroots.errors import (
     BasisMismatch,
     CaseMismatch,
@@ -37,6 +41,9 @@ from superroots.shadows import DOWN, UP, Shadow
 from superroots.subsets import RootSubset, component_parabolic, decompose, even_subset
 from superroots.zeta import (
     LinearFunctional,
+    _base_catalogue,
+    _BaseCatalogue,
+    _Candidate,
     ZetaComponent,
     ZetaResult,
     construct_zeta,
@@ -300,6 +307,137 @@ def test_select_base_warm_matches_cold(token):
             assert _base_or_searched(system, comp, P) == _base_or_searched(system, fresh, P)
     assert all(sorted(comp._catalogue) == [3, 5, 6] for comp in warm)
 
+
+
+# -- base catalogue: the integer orbit walk against the Root BFS ----------------------
+
+
+def bfs_candidate_bases(system, comp, kcap):
+    """All delta-shifted simple systems reachable by reflections, capped."""
+    dot_base = find_base(comp.dot)
+    theta, _ = highest_root(comp.dot, dot_base)
+    start = tuple(sorted(dot_base + (system.delta - theta,), key=lambda r: r.key()))
+    seen = {start}
+    queue = [start]
+    while queue:
+        base = queue.pop()
+        for a in base:
+            image = []
+            ok = True
+            for b in base:
+                nb = -a if b == a else b - a.scale(Q(system.cartan(b, a)))
+                if abs(nb.k) > kcap:
+                    ok = False
+                    break
+                image.append(nb)
+            if not ok:
+                continue
+            nxt = tuple(sorted(image, key=lambda r: r.key()))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return sorted(seen, key=lambda base: tuple(r.key() for r in base))
+
+
+def factored_base_catalogue(system, comp, kcap):
+    """Orbit bases with positive integral marks and thresholds th(f) + th(-f) = 1.
+
+    Each base is factored once; delta and every line are expanded over it.
+    The line threshold th(f) is the least k with f + k*delta positive.
+    """
+    orbit = bfs_candidate_bases(system, comp, kcap)
+    lines = tuple(Root(f.coords, 0, f.sigma) for f in comp.vectors)
+    opposite = [comp.vectors.index(-f) for f in comp.vectors]
+    index: dict[Root, int] = {}
+    candidates = []
+    for elements in orbit:
+        fac = factor_roots(elements)
+        marks = fac.solve(system.delta.vector())
+        if marks is None or any(m.denominator != 1 or m <= 0 for m in marks):
+            continue
+        thresholds = []
+        for line in lines:
+            xs = fac.solve(line.vector())
+            if xs is None:
+                break
+            thresholds.append(max(ceil(-x / m) for x, m in zip(xs, marks)))
+        else:
+            if all(thresholds[i] + thresholds[j] == 1 for i, j in enumerate(opposite)):
+                candidates.append(
+                    _Candidate(
+                        tuple(index.setdefault(e, len(index)) for e in elements),
+                        tuple(int(m) for m in marks),
+                        tuple(thresholds),
+                    )
+                )
+    return _BaseCatalogue(len(orbit), tuple(index), lines, tuple(candidates))
+
+
+# every family with a rank-2 or rank-3 loop component; F4's B3 part is left out,
+# since the Root BFS takes seconds per build there
+CATALOGUE_TYPES = ["B,1,1", "D21L", "A,2,1", "A,1,2", "B,2,1", "B,1,2", "C,3", "D,2,2", "A,2,2", "G3"]
+
+
+def _components(token):
+    system = build_affine(parse_type_token(token))
+    return system, decompose(system, even_subset(system), kmax=6).components
+
+
+@pytest.mark.parametrize("token", CATALOGUE_TYPES)
+def test_base_catalogue_matches_the_root_bfs(token):
+    system, comps = _components(token)
+    for comp in comps:
+        for kcap in (3, 4, 5):
+            assert _base_catalogue(system, comp, kcap) == factored_base_catalogue(
+                system, comp, kcap
+            ), (token, comp.index, kcap)
+
+
+def positioned_orbit(system, start, kcap):
+    """frozenset(base) -> the base, each element at the position of its start element."""
+    pairing = functools.cache(system.cartan)  # delta pairs to zero: finite parts suffice
+    orbit = {frozenset(start): start}
+    stack = [start]
+    while stack:
+        base = stack.pop()
+        for a in base:
+            image = tuple(b - a.scale(pairing(b.finite(), a.finite())) for b in base)
+            if all(abs(r.k) <= kcap for r in image) and frozenset(image) not in orbit:
+                orbit[frozenset(image)] = image
+                stack.append(image)
+    return orbit
+
+
+@pytest.mark.parametrize("token", CATALOGUE_TYPES)
+def test_base_catalogue_filters_never_fire(token):
+    """Reflections fix delta, so no orbit base fails the P-independent filters."""
+    system, comps = _components(token)
+    for comp in comps:
+        dot_base = find_base(comp.dot)
+        theta, _ = highest_root(comp.dot, dot_base)
+        start = tuple(sorted(dot_base + (system.delta - theta,), key=Root.key))
+        start_marks = [int(m) for m in factor_roots(start).solve(system.delta.vector())]
+        for kcap in (3, 4, 5):
+            cat = _base_catalogue(system, comp, kcap)
+            assert len(cat.candidates) == cat.searched, (token, comp.index, kcap)
+            orbit = positioned_orbit(system, start, kcap)
+            assert len(orbit) == cat.searched
+            for cand in cat.candidates:
+                elements = [cat.roots[e] for e in cand.elements]
+                mark_of = dict(zip(elements, cand.marks))
+                assert [mark_of[r] for r in orbit[frozenset(elements)]] == start_marks
+
+
+@pytest.mark.parametrize("token", ["F4", "B,3,1"])
+def test_cold_zeta_on_large_types_within_budget(token):
+    """Cold: every component builds its base catalogue from scratch."""
+    start = time.monotonic()
+    system = build_affine(parse_type_token(token))
+    _, dec, _, parabolics = setup_system(system, [(0, 0)] * 2)
+    result = construct_zeta(system, dec.components, parabolics, UP)
+    elapsed = time.monotonic() - start
+    assert (result.case, result.zeta_delta) == ("case2", 2)
+    assert elapsed < 10.0, f"cold zeta on {token} took {elapsed:.1f}s (budget 10s)"
 
 # -- construct_zeta: frozen fingerprints -------------------------------------------
 
