@@ -160,10 +160,9 @@ def _cmd_classify(parser, args) -> int:
     except RankError as exc:
         parser.error(str(exc))
     if problems:
-        for p in problems:
-            print(p)
+        _emit("\n".join(problems), args.output)
         return 1
-    print(f"classification OK: {system.token}, window |k| <= {args.window}")
+    _emit(f"classification OK: {system.token}, window |k| <= {args.window}", args.output)
     return 0
 
 
@@ -174,8 +173,7 @@ def _cmd_axioms(parser, args) -> int:
     except (RankError, ValueError) as exc:
         parser.error(str(exc))
     report = check_supersystem_axioms(rs)
-    print(f"type: {args.type}")
-    print(report)
+    _emit(f"type: {args.type}\n{report}", args.output)
     return 0 if report.passed else 1
 
 
@@ -320,8 +318,7 @@ def run_scenario(name: str, kmax: int):
 
 def _cmd_zeta(parser, args) -> int:
     if args.list:
-        for name in scenario_names():
-            print(name)
+        _emit("\n".join(scenario_names()), args.output)
         return 0
     if not args.scenario:
         parser.error("--scenario NAME is required (or use --list)")
@@ -342,32 +339,34 @@ def _cmd_tables(parser, args) -> int:
         golden = golden_classification(type_id)
     except RankError as exc:
         parser.error(str(exc))
-    print(f"type: {system.token}")
-    print("kind table (line representatives, corrected):")
-    print(f"  real:        {_fmt_roots(system, golden.real)}")
-    print(f"  nonsingular: {_fmt_roots(system, golden.ns)}")
-    print("parity table (line representatives, corrected):")
-    print(f"  even: {_fmt_roots(system, golden.even)}")
-    print(f"  odd:  {_fmt_roots(system, golden.odd)}")
+    lines = [
+        f"type: {system.token}",
+        "kind table (line representatives, corrected):",
+        f"  real:        {_fmt_roots(system, golden.real)}",
+        f"  nonsingular: {_fmt_roots(system, golden.ns)}",
+        "parity table (line representatives, corrected):",
+        f"  even: {_fmt_roots(system, golden.even)}",
+        f"  odd:  {_fmt_roots(system, golden.odd)}",
+    ]
     diffs = discrepancies(type_id)
     if diffs:
-        print("printed-source discrepancies:")
+        lines.append("printed-source discrepancies:")
         for d in diffs:
-            print(f"  - [{d.table}/{d.column}] {d.note}")
+            lines.append(f"  - [{d.table}/{d.column}] {d.note}")
             if d.printed_only:
-                print(f"      printed only:   {_fmt_roots(system, d.printed_only)}")
+                lines.append(f"      printed only:   {_fmt_roots(system, d.printed_only)}")
             if d.corrected_only:
-                print(f"      corrected only: {_fmt_roots(system, d.corrected_only)}")
+                lines.append(f"      corrected only: {_fmt_roots(system, d.corrected_only)}")
     else:
-        print("printed-source discrepancies: none")
+        lines.append("printed-source discrepancies: none")
     problems = classification_report(system, args.window)
     if problems:
-        print(f"window check (|k| <= {args.window}): {len(problems)} mismatch(es)")
-        for p in problems:
-            print(f"  {p}")
-        return 1
-    print(f"window check (|k| <= {args.window}): OK")
-    return 0
+        lines.append(f"window check (|k| <= {args.window}): {len(problems)} mismatch(es)")
+        lines.extend(f"  {p}" for p in problems)
+    else:
+        lines.append(f"window check (|k| <= {args.window}): OK")
+    _emit("\n".join(lines), args.output)
+    return 1 if problems else 0
 
 
 def _cmd_export(parser, args) -> int:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import combinations, count, islice, permutations, product
+from math import lcm
 
 from .errors import NotARoot, RankError, TooFewSamples
 # matrix_rank stays bound here for the benchmark tracer, whose self-test wraps
@@ -26,12 +27,12 @@ from .roots import (
     ODD,
     AmbientBasis,
     Root,
-    cartan_integer,
     d21_basis,
     eps_delta_basis,
     f4_basis,
     g3_basis,
 )
+from .scalars import Scalar, scalar_div
 
 #: families that admit the loop construction (k-shifted copies).
 AFFINE_FAMILIES = frozenset({"A", "ANN", "B", "CN", "D", "F4", "G3", "D21L"})
@@ -147,15 +148,114 @@ def parse_type_token(text: str) -> FiniteTypeId:
 
 
 @dataclass(frozen=True)
+class _IntegerView:
+    """The members of a ``FiniteRootSet`` in integers, paired once.
+
+    ``coords[i]`` is member i's coordinates times ``denom``, the least common
+    denominator of all members' coordinates, and ``index`` maps those tuples
+    back to i.  ``table[i][j]`` is the form value (r_i, r_j), summed in
+    integers and divided out once, so it is exactly ``basis.form(r_i, r_j)``.
+    When no norm of the basis carries lambda, ``numer[i][j]`` is that sum
+    itself: the table entries times one positive integer.
+    """
+
+    denom: int
+    coords: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    table: tuple[tuple[Scalar, ...], ...]
+    numer: tuple[tuple[int, ...], ...] | None
+
+    @classmethod
+    def of(cls, roots: tuple[Root, ...], basis: AmbientBasis) -> "_IntegerView":
+        denom = lcm(*(c.denominator for r in roots for c in r.coords))
+        coords = tuple(
+            tuple(c.numerator * (denom // c.denominator) for c in r.coords) for r in roots
+        )
+        # the Gram diagonal over one integer scale: a rational lambda such as
+        # 5/3 gives its const and lambda parts denominators too
+        gram = basis.gram_diag
+        scale = lcm(*(q.denominator for g in gram for q in (g.const, g.lam)))
+        consts = [int(g.const * scale) for g in gram]
+        lams = [int(g.lam * scale) for g in gram]
+        carries_lam = any(lams)
+        den = scale * denom * denom
+        values: dict[tuple[int, int], Scalar] = {}
+        rows = [[None] * len(coords) for _ in coords]
+        numer = [[0] * len(coords) for _ in coords]
+        for i, x in enumerate(coords):
+            for j in range(i, len(coords)):
+                y = coords[j]
+                c = sum(g * a * b for g, a, b in zip(consts, x, y))
+                lam = sum(g * a * b for g, a, b in zip(lams, x, y)) if carries_lam else 0
+                value = values.get((c, lam))
+                if value is None:
+                    value = values[c, lam] = Scalar(Q(c, den), Q(lam, den))
+                rows[i][j] = rows[j][i] = value
+                numer[i][j] = numer[j][i] = c
+        index = {x: i for i, x in enumerate(coords)}
+        return cls(
+            denom, coords, index, tuple(map(tuple, rows)),
+            None if carries_lam else tuple(map(tuple, numer)),
+        )
+
+    def find(self, coords) -> int | None:
+        """The index of the member with these (Fraction) coordinates, or None."""
+        ints = []
+        for c in coords:
+            if self.denom % c.denominator:
+                return None
+            ints.append(c.numerator * (self.denom // c.denominator))
+        return self.index.get(tuple(ints))
+
+
+def _string_spans(alpha: tuple[int, ...], coords) -> list:
+    """Per member, its (p, q) on its alpha-string, or the broken-string text.
+
+    All vectors are integer tuples over one denominator.  With a pivot i
+    where alpha_i != 0, two members differ by an integer multiple of alpha
+    exactly when r*alpha_i - r_i*alpha and r_i mod alpha_i agree, so that
+    pair keys the string; within it, r_i // alpha_i is the level along alpha
+    up to a shift (floor division keeps a negative alpha_i's order right).
+    A zero alpha puts every member on its own string.
+    """
+    pivot = next((i for i, a in enumerate(alpha) if a), None)
+    if pivot is None:
+        return [(0, 0)] * len(coords)
+    ai = alpha[pivot]
+    strings: dict = {}
+    levels = []
+    for x in coords:
+        xi = x[pivot]
+        key = (tuple(c * ai - xi * a for c, a in zip(x, alpha)), xi % ai)
+        strings.setdefault(key, []).append(xi // ai)
+        levels.append((key, xi // ai))
+    for ks in strings.values():
+        ks.sort()
+    spans = []
+    for key, level in levels:
+        ks = strings[key]
+        if ks == list(range(ks[0], ks[-1] + 1)):
+            spans.append((level - ks[0], ks[-1] - level))
+        else:
+            spans.append(f"broken string {[k - level for k in ks]}")
+    return spans
+
+
+@dataclass(frozen=True)
 class FiniteRootSet:
-    """A concrete finite set of root vectors with grading data."""
+    """A concrete finite set of root vectors with grading data.
+
+    Pair queries between members (norms, kinds, root strings, the axioms and
+    the components) read one integer view of the members, built on first
+    use; ``basis.form`` only pairs vectors that are not members.
+    """
 
     type_id: FiniteTypeId
     basis: AmbientBasis
     roots: tuple[Root, ...]
     odd: frozenset[Root]
     label: str = ""
-    # root_string's alpha-strings, per alpha's coordinates; filled lazily
+    # the members' (p, q) per alpha-string, per alpha's coordinates; filled lazily
     _strings: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
@@ -175,16 +275,24 @@ class FiniteRootSet:
     def nonzero(self) -> tuple[Root, ...]:
         return tuple(r for r in self.roots if not r.is_zero_vector())
 
+    @cached_property
+    def _view(self) -> _IntegerView:
+        return _IntegerView.of(self.roots, self.basis)
+
     def parity(self, r: Root) -> str:
         if r not in self.members:
             raise NotARoot(f"{r} is not a member")
         return ODD if r in self.odd else EVEN
 
     def norm(self, r: Root):
-        return self.basis.form(r, r)
+        i = self._view.find(r.coords)
+        return self.basis.form(r, r) if i is None else self._view.table[i][i]
 
     def is_orthogonal_to_all(self, r: Root) -> bool:
-        return all(self.basis.form(r, s).is_zero() for s in self.roots)
+        i = self._view.find(r.coords)
+        if i is None:
+            return all(self.basis.form(r, s).is_zero() for s in self.roots)
+        return all(v.is_zero() for v in self._view.table[i])
 
     def kind(self, r: Root) -> str:
         kind = self._kinds.get(r)
@@ -208,6 +316,21 @@ class FiniteRootSet:
     def nonsingular_roots(self) -> tuple[Root, ...]:
         return tuple(r for r in self.nonzero if self.kind(r) == KIND_NONSINGULAR)
 
+    def _spans(self, alpha: Root) -> list:
+        """Each member's (p, q) on its alpha-string, or its broken-string
+        text, in ``roots`` order; memoised per alpha."""
+        spans = self._strings.get(alpha.coords)
+        if spans is None:
+            view = self._view
+            # over a denominator that also clears alpha's, when alpha is no member
+            extra = lcm(*((c * view.denom).denominator for c in alpha.coords))
+            coords = view.coords if extra == 1 else [
+                tuple(c * extra for c in x) for x in view.coords
+            ]
+            ints = tuple(int(c * view.denom * extra) for c in alpha.coords)
+            spans = self._strings[alpha.coords] = _string_spans(ints, coords)
+        return spans
+
     @cached_property
     def span_basis(self) -> tuple[Root, ...]:
         """Each nonzero root outside the span of the roots before it: the
@@ -220,17 +343,20 @@ class FiniteRootSet:
         return len(self.span_basis)
 
 
+def negation_closure(vectors) -> set[Root]:
+    """The vectors together with their negatives."""
+    out = set()
+    for v in vectors:
+        out.add(v)
+        out.add(-v)
+    return out
+
+
 def _finish(type_id: FiniteTypeId, basis: AmbientBasis, vectors, odd, label: str = "") -> FiniteRootSet:
     zero = Root(tuple(Q(0) for _ in range(basis.dim)))
-    allr = set(vectors) | {zero}
-    for v in list(allr):
-        allr.add(-v)
-    odd_set = set()
-    for v in odd:
-        odd_set.add(v)
-        odd_set.add(-v)
+    allr = negation_closure([*vectors, zero])
     ordered = tuple(sorted(allr, key=lambda r: r.key()))
-    return FiniteRootSet(type_id, basis, ordered, frozenset(odd_set), label or type_id.token)
+    return FiniteRootSet(type_id, basis, ordered, frozenset(negation_closure(odd)), label or type_id.token)
 
 
 def block_units(mb: int, nb: int) -> tuple[AmbientBasis, list[Root], list[Root]]:
@@ -435,59 +561,25 @@ class AxiomReport:
         )
 
 
-def _alpha_strings(rs: FiniteRootSet, alpha: Root) -> tuple[dict, dict]:
-    """The members of ``rs`` split into alpha-strings, memoised on ``rs``.
-
-    With a pivot i where alpha_i != 0 and t = r_i / alpha_i, two members
-    differ by an integer multiple of alpha exactly when r - t*alpha and
-    t mod 1 agree, so that pair keys the string.  Returns ``strings`` (key
-    to the sorted t values of its members) and ``place`` (a member's
-    coordinates to its key and t).  A zero alpha puts every member on its
-    own string.
-    """
-    memo = rs._strings.get(alpha.coords)
-    if memo is not None:
-        return memo
-    pivot = next((i for i, a in enumerate(alpha.coords) if a != 0), None)
-    strings: dict = {}
-    place: dict = {}
-    for r in rs.roots:
-        if pivot is None:
-            key, t = r.coords, Q(0)
-        else:
-            t = r.coords[pivot] / alpha.coords[pivot]
-            key = (tuple(c - t * a for c, a in zip(r.coords, alpha.coords)), t % 1)
-        strings.setdefault(key, []).append(t)
-        place[r.coords] = (key, t)
-    for ts in strings.values():
-        ts.sort()
-    memo = rs._strings[alpha.coords] = (strings, place)
-    return memo
-
-
-def _string_span(rs: FiniteRootSet, beta: Root, alpha: Root) -> tuple[int, int]:
-    """(p, q) of ``root_string``, looked up in the alpha-strings of ``rs``."""
-    strings, place = _alpha_strings(rs, alpha)
-    hit = place.get(beta.coords)
-    if hit is None:
-        raise ValueError("string does not contain beta")
-    key, tb = hit
-    ks = [int(t - tb) for t in strings[key]]
-    if ks != list(range(ks[0], ks[-1] + 1)):
-        raise ValueError(f"broken string {ks}")
-    return -ks[0], ks[-1]
-
-
 def root_string(rs: FiniteRootSet, beta: Root, alpha: Root) -> tuple[int, int, tuple[Root, ...]]:
     """The set {k : beta + k*alpha is a member} as (p, q, chain).
 
     Returns p, q >= 0 such that the chain is beta - p*alpha ... beta + q*alpha.
-    Only finite coordinates are compared.  Raises ValueError("string does
-    not contain beta") when beta is not a member, and ValueError("broken
-    string [...]"), listing every such k, when the members on beta + Z*alpha
-    skip a step; the axiom checker catches both and reports axiom (d).
+    Only finite coordinates are compared.  The members are split into
+    alpha-strings once per alpha, in integers over one common denominator,
+    and every member's (p, q) is kept on ``rs``, so a call is a lookup.
+    Raises ValueError("string does not contain beta") when beta is not a
+    member, and ValueError("broken string [...]"), listing every such k,
+    when the members on beta + Z*alpha skip a step; the axiom checker
+    reports both as axiom (d).
     """
-    p, q = _string_span(rs, beta, alpha)
+    i = rs._view.find(beta.coords)
+    if i is None:
+        raise ValueError("string does not contain beta")
+    span = rs._spans(alpha)[i]
+    if isinstance(span, str):
+        raise ValueError(span)
+    p, q = span
     chain = tuple(beta + alpha.scale(Q(k)) for k in range(-p, q + 1))
     return p, q, chain
 
@@ -499,61 +591,105 @@ def _primes():
             yield n
 
 
+def _pairing(rs: FiniteRootSet, b: int, a: int) -> int | Q:
+    """<beta, alpha> = 2(beta, alpha)/(alpha, alpha) for members b and a, read
+    off the pairing table; alpha must not be isotropic.  Over a basis that
+    carries lambda the two entries are divided exactly, raising like
+    ``cartan_integer``."""
+    view = rs._view
+    if view.numer is not None:
+        num, norm = 2 * view.numer[b][a], view.numer[a][a]
+        return num // norm if num % norm == 0 else Q(num, norm)
+    q = scalar_div(view.table[b][a] * 2, view.table[a][a])
+    if not q.is_rational():
+        beta, alpha = rs.roots[b], rs.roots[a]
+        raise NotARoot(f"pairing 2({beta},{alpha})/({alpha},{alpha}) = {q} not rational")
+    return q.const
+
+
+def _axioms_c_d(rs: FiniteRootSet, reals: list[int]) -> tuple[str | None, str | None]:
+    """The first failures of axioms (c) and (d), scanning the (alpha, beta)
+    pairs in order with one pairing per pair, until both have failed."""
+    roots = rs.roots
+    detail_c = detail_d = None
+    for a in reals:
+        spans = rs._spans(roots[a])
+        for b, span in enumerate(spans):
+            diff = None
+            if detail_d is None:
+                if isinstance(span, str):
+                    detail_d = f"string({roots[b]};{roots[a]}): {span}"
+                else:
+                    diff = span[0] - span[1]
+            if detail_c is None or diff is not None:
+                val = _pairing(rs, b, a)
+                if detail_c is None and val.denominator != 1:
+                    detail_c = f"<{roots[b]},{roots[a]}> = {val}"
+                if diff is not None and diff != val:
+                    detail_d = f"string({roots[b]};{roots[a]}): p-q={diff} vs {val}"
+            if detail_c is not None and detail_d is not None:
+                return detail_c, detail_d
+    return detail_c, detail_d
+
+
 def check_supersystem_axioms(rs: FiniteRootSet, samples: tuple[Q, ...] = ()) -> AxiomReport:
-    """Evaluate the six defining conditions on a finite root collection."""
+    """Evaluate the six defining conditions (a)-(f) on a finite root collection.
+
+    (a) zero is a member (the detail records the size and span rank); (b)
+    negation closure; (c) <beta, alpha> is an integer for real alpha; (d)
+    the alpha-string through beta is unbroken with p - q = <beta, alpha>;
+    (e) beta + alpha or beta - alpha is a member when alpha is nonsingular
+    and (alpha, beta) != 0; (f) the form is nondegenerate on the span, at
+    enough parameter ``samples`` to decide a lambda-carrying form (the
+    first primes by default; too few raise ``TooFewSamples``).  Each check
+    reports the first failing pair in ``roots`` order.
+
+    Every pairing is read from the set's integer pairing table, every root
+    string from its integer string table, and (b) and (e) test membership
+    on integer coordinate tuples, so no pair of members is paired twice.
+    """
     results: list[AxiomResult] = []
-    zero = Root(tuple(Q(0) for _ in range(rs.basis.dim)))
+    view = rs._view
+    table = view.table
+    roots = rs.roots
 
     # (a) finite, contains zero, spans its linear span (recorded as rank).
-    ok_a = zero in rs.members
+    ok_a = (0,) * rs.basis.dim in view.index
     results.append(
-        AxiomResult("a", ok_a, f"{len(rs.roots)} vectors, span rank {rs.span_rank}")
+        AxiomResult("a", ok_a, f"{len(roots)} vectors, span rank {rs.span_rank}")
     )
 
     # (b) closed under negation.
-    bad_b = [r for r in rs.roots if -r not in rs.members]
+    bad_b = [r for r, x in zip(roots, view.coords) if tuple(-c for c in x) not in view.index]
     results.append(AxiomResult("b", not bad_b, "" if not bad_b else f"missing -{bad_b[0]}"))
 
-    reals = rs.real_roots()
+    kinds = [rs.kind(r) for r in roots]
 
     # (c) integrality of pairings against real roots, and (d) unbroken
-    # strings through real roots with p - q matching the pairing.  One pass
-    # over the (alpha, beta) pairs serves both, with one pairing per pair,
-    # and stops once both have failed.
-    detail_c = detail_d = None
-    for alpha, beta in product(reals, rs.roots):
-        diff = None
-        if detail_d is None:
-            try:
-                p, q = _string_span(rs, beta, alpha)
-            except ValueError as exc:
-                detail_d = f"string({beta};{alpha}): {exc}"
-            else:
-                diff = p - q
-        if detail_c is None or diff is not None:
-            val = cartan_integer(rs.basis, beta, alpha)
-            if detail_c is None and val.denominator != 1:
-                detail_c = f"<{beta},{alpha}> = {val}"
-            if diff is not None and Q(diff) != val:
-                detail_d = f"string({beta};{alpha}): p-q={diff} vs {val}"
-        if detail_c is not None and detail_d is not None:
-            break
+    # strings through real roots with p - q matching the pairing.
+    detail_c, detail_d = _axioms_c_d(rs, [a for a, k in enumerate(kinds) if k == KIND_REAL])
     results.append(AxiomResult("c", detail_c is None, detail_c or ""))
     results.append(AxiomResult("d", detail_d is None, detail_d or ""))
 
     # (e) nonzero isotropic roots must move by +-alpha when not orthogonal.
-    ok_e, detail_e = True, ""
-    for alpha in rs.nonsingular_roots():
-        for beta in rs.roots:
-            if rs.basis.form(alpha, beta).is_zero():
+    detail_e = ""
+    for a, k in enumerate(kinds):
+        if k != KIND_NONSINGULAR:
+            continue
+        y = view.coords[a]
+        for b, x in enumerate(view.coords):
+            if table[a][b].is_zero():
                 continue
-            if (beta + alpha) in rs.members or (beta - alpha) in rs.members:
+            if (
+                tuple(p + q for p, q in zip(x, y)) in view.index
+                or tuple(p - q for p, q in zip(x, y)) in view.index
+            ):
                 continue
-            ok_e, detail_e = False, f"{beta} +- {alpha} both absent"
+            detail_e = f"{roots[b]} +- {roots[a]} both absent"
             break
-        if not ok_e:
+        if detail_e:
             break
-    results.append(AxiomResult("e", ok_e, detail_e))
+    results.append(AxiomResult("e", not detail_e, detail_e))
 
     # (f) the form restricted to the span must be nondegenerate.  The Gram
     # determinant of a span basis is, by Cauchy-Binet, a sum of products of
@@ -561,8 +697,8 @@ def check_supersystem_axioms(rs: FiniteRootSet, samples: tuple[Q, ...] = ()) -> 
     # polynomial in lambda whose degree is at most the number of ambient
     # norms that carry lambda, capped at the rank.  It vanishes identically
     # exactly when it vanishes at one more distinct sample than that.
-    span_basis = rs.span_basis
-    degree = min(len(span_basis), sum(1 for g in rs.basis.gram_diag if g.lam != 0))
+    span = [view.find(r.coords) for r in rs.span_basis]
+    degree = min(len(span), sum(1 for g in rs.basis.gram_diag if g.lam != 0))
     if samples:
         samples = tuple(dict.fromkeys(samples))
         if len(samples) <= degree:
@@ -571,15 +707,12 @@ def check_supersystem_axioms(rs: FiniteRootSet, samples: tuple[Q, ...] = ()) -> 
             )
     else:
         samples = tuple(Q(p) for p in islice(_primes(), degree + 1))
-    dets = []
-    for lam in samples[: degree + 1]:
-        gram = [
-            [rs.basis.form(a, b).at(lam) for b in span_basis]
-            for a in span_basis
-        ]
-        dets.append(matrix_det(gram))
+    dets = [
+        matrix_det([[table[a][b].at(lam) for b in span] for a in span])
+        for lam in samples[: degree + 1]
+    ]
     if all(d != 0 for d in dets):
-        results.append(AxiomResult("f", True, f"span rank {len(span_basis)}"))
+        results.append(AxiomResult("f", True, f"span rank {len(span)}"))
     elif all(d == 0 for d in dets):
         results.append(AxiomResult("f", False, "form degenerate on the span"))
     else:
@@ -594,9 +727,12 @@ def irreducible_components(rs: FiniteRootSet) -> tuple[FiniteRootSet, ...]:
     Vectors orthogonal to everything are dropped; each component gets the
     zero vector adjoined and inherits the grading.
     """
-    nodes = [r for r in rs.nonzero if not rs.is_orthogonal_to_all(r)]
-    node_set = set(nodes)
-    seen: set[Root] = set()
+    table = rs._view.table
+    nodes = [
+        i for i, r in enumerate(rs.roots)
+        if not r.is_zero_vector() and not all(v.is_zero() for v in table[i])
+    ]
+    seen: set[int] = set()
     comps: list[list[Root]] = []
     for start in nodes:
         if start in seen:
@@ -605,15 +741,14 @@ def irreducible_components(rs: FiniteRootSet) -> tuple[FiniteRootSet, ...]:
         seen.add(start)
         while stack:
             cur = stack.pop()
-            comp.append(cur)
+            comp.append(rs.roots[cur])
             for other in nodes:
                 if other in seen:
                     continue
-                if not rs.basis.form(cur, other).is_zero():
+                if not table[cur][other].is_zero():
                     seen.add(other)
                     stack.append(other)
         comps.append(sorted(comp, key=lambda r: r.key()))
-        node_set -= set(comp)
     comps.sort(key=lambda c: c[0].key())
     zero = Root(tuple(Q(0) for _ in range(rs.basis.dim)))
     out = []

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 from itertools import product
 
 from .errors import RankError
-from .finite import FiniteTypeId, ann_block_traceless, block_units
+from .finite import FiniteTypeId, ann_block_traceless, block_units, negation_closure
 from .roots import Root, d21_basis, f4_basis, g3_basis
 
 
@@ -39,14 +39,6 @@ class Discrepancy:
     note: str = ""
 
 
-def _pm(vectors) -> set:
-    out = set()
-    for v in vectors:
-        out.add(v)
-        out.add(-v)
-    return out
-
-
 def _a_lines(m: int, n: int) -> LineClassification:
     _, es, ds = block_units(m + 1, n + 1)
     real = set()
@@ -58,7 +50,7 @@ def _a_lines(m: int, n: int) -> LineClassification:
         for s in range(n + 1):
             if j != s:
                 real.add(ds[j] - ds[s])
-    ns = _pm(es[i] - ds[j] for i in range(m + 1) for j in range(n + 1))
+    ns = negation_closure(es[i] - ds[j] for i in range(m + 1) for j in range(n + 1))
     return LineClassification(frozenset(real), frozenset(ns), frozenset(real), frozenset(ns))
 
 
@@ -83,20 +75,20 @@ def _ann_lines(n: int, block: int) -> LineClassification:
 
 def _b_lines(m: int, n: int) -> LineClassification:
     _, es, ds = block_units(m, n)
-    real = set(_pm(es))
+    real = negation_closure(es)
     for i in range(m):
         for r in range(i + 1, m):
-            real |= _pm((es[i] + es[r], es[i] - es[r]))
-    real |= _pm(ds)
-    real |= _pm(d.scale(Q(2)) for d in ds)
+            real |= negation_closure((es[i] + es[r], es[i] - es[r]))
+    real |= negation_closure(ds)
+    real |= negation_closure(d.scale(Q(2)) for d in ds)
     for j in range(n):
         for s in range(j + 1, n):
-            real |= _pm((ds[j] + ds[s], ds[j] - ds[s]))
+            real |= negation_closure((ds[j] + ds[s], ds[j] - ds[s]))
     ns = set()
     for i in range(m):
         for j in range(n):
-            ns |= _pm((es[i] + ds[j], es[i] - ds[j]))
-    odd = set(_pm(ds))
+            ns |= negation_closure((es[i] + ds[j], es[i] - ds[j]))
+    odd = negation_closure(ds)
     odd |= ns
     even = (real | ns) - odd
     return LineClassification(frozenset(real), frozenset(ns), frozenset(even), frozenset(odd))
@@ -104,15 +96,15 @@ def _b_lines(m: int, n: int) -> LineClassification:
 
 def _cn_lines(n: int, printed: bool) -> LineClassification:
     basis, es, ds = block_units(1, n - 1)
-    real = set(_pm(d.scale(Q(2)) for d in ds))
+    real = negation_closure(d.scale(Q(2)) for d in ds)
     for j in range(n - 1):
         for s in range(j + 1, n - 1):
-            real |= _pm((ds[j] + ds[s], ds[j] - ds[s]))
+            real |= negation_closure((ds[j] + ds[s], ds[j] - ds[s]))
     if printed:
-        real |= _pm([es[0].scale(Q(2))])
+        real |= negation_closure([es[0].scale(Q(2))])
     ns = set()
     for j in range(n - 1):
-        ns |= _pm((es[0] + ds[j], es[0] - ds[j]))
+        ns |= negation_closure((es[0] + ds[j], es[0] - ds[j]))
     even = set(real)
     odd = set(ns)
     return LineClassification(frozenset(real), frozenset(ns), frozenset(even), frozenset(odd))
@@ -123,15 +115,15 @@ def _d_lines(m: int, n: int) -> LineClassification:
     real = set()
     for i in range(m):
         for r in range(i + 1, m):
-            real |= _pm((es[i] + es[r], es[i] - es[r]))
-    real |= _pm(d.scale(Q(2)) for d in ds)
+            real |= negation_closure((es[i] + es[r], es[i] - es[r]))
+    real |= negation_closure(d.scale(Q(2)) for d in ds)
     for j in range(n):
         for s in range(j + 1, n):
-            real |= _pm((ds[j] + ds[s], ds[j] - ds[s]))
+            real |= negation_closure((ds[j] + ds[s], ds[j] - ds[s]))
     ns = set()
     for i in range(m):
         for j in range(n):
-            ns |= _pm((es[i] + ds[j], es[i] - ds[j]))
+            ns |= negation_closure((es[i] + ds[j], es[i] - ds[j]))
     return LineClassification(frozenset(real), frozenset(ns), frozenset(real), frozenset(ns))
 
 
@@ -139,15 +131,15 @@ def _f4_lines() -> LineClassification:
     basis = f4_basis()
     e = basis.unit(0)
     ds = [basis.unit(1 + i) for i in range(3)]
-    real = set(_pm([e]))
-    real |= _pm(ds)
+    real = negation_closure([e])
+    real |= negation_closure(ds)
     for i in range(3):
         for j in range(i + 1, 3):
-            real |= _pm((ds[i] + ds[j], ds[i] - ds[j]))
+            real |= negation_closure((ds[i] + ds[j], ds[i] - ds[j]))
     ns = set()
     for s1, s2, s3 in product((Q(1), Q(-1)), repeat=3):
         half = (e + ds[0].scale(s1) + ds[1].scale(s2) + ds[2].scale(s3)).scale(Q(1, 2))
-        ns |= _pm([half])
+        ns |= negation_closure([half])
     return LineClassification(frozenset(real), frozenset(ns), frozenset(real), frozenset(ns))
 
 
@@ -158,28 +150,28 @@ def _g3_lines(printed: bool) -> LineClassification:
     diffs = [es[i] - es[j] for i in range(3) for j in range(3) if i != j]
     longs = [es[i].scale(Q(2)) - es[j] - es[t] for (i, j, t) in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
     nu_diffs = [nu + d for d in diffs]
-    base_real = set(_pm([nu, nu.scale(Q(2))])) | set(diffs)
+    base_real = negation_closure([nu, nu.scale(Q(2))]) | set(diffs)
     if printed:
-        real = base_real | _pm(nu_diffs)
-        ns = _pm(longs)
-        even = set(_pm([nu.scale(Q(2))])) | set(diffs) | _pm(nu_diffs)
-        odd = _pm([nu]) | _pm(longs)
+        real = base_real | negation_closure(nu_diffs)
+        ns = negation_closure(longs)
+        even = negation_closure([nu.scale(Q(2))]) | set(diffs) | negation_closure(nu_diffs)
+        odd = negation_closure([nu]) | negation_closure(longs)
     else:
-        real = base_real | _pm(longs)
-        ns = _pm(nu_diffs)
-        even = set(_pm([nu.scale(Q(2))])) | set(diffs) | _pm(longs)
-        odd = _pm([nu]) | _pm(nu_diffs)
+        real = base_real | negation_closure(longs)
+        ns = negation_closure(nu_diffs)
+        even = negation_closure([nu.scale(Q(2))]) | set(diffs) | negation_closure(longs)
+        odd = negation_closure([nu]) | negation_closure(nu_diffs)
     return LineClassification(frozenset(real), frozenset(ns), frozenset(even), frozenset(odd))
 
 
 def _d21l_lines() -> LineClassification:
     basis = d21_basis()
     gs = [basis.unit(i) for i in range(3)]
-    real = _pm(g.scale(Q(2)) for g in gs)
+    real = negation_closure(g.scale(Q(2)) for g in gs)
     ns = set()
     for s2, s3 in product((Q(1), Q(-1)), repeat=2):
         v = gs[0] + gs[1].scale(s2) + gs[2].scale(s3)
-        ns |= _pm([v])
+        ns |= negation_closure([v])
     return LineClassification(frozenset(real), frozenset(ns), frozenset(real), frozenset(ns))
 
 

@@ -277,3 +277,22 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert rc == 0
     assert f"wrote {target}" in out
     assert len(json.loads(target.read_text(encoding="utf-8"))["roots"]) == 33
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--type", "B,1,1", "--window", "2"),
+        ("axioms", "--type", "B,1,1"),
+        ("tables", "--type", "C,2", "--window", "2"),
+        ("zeta", "--list"),
+    ],
+    ids=["classify", "axioms", "tables", "zeta-list"],
+)
+def test_output_flag_writes_the_stdout_report(argv, tmp_path, capsys):
+    rc, out = run(capsys, *argv)
+    target = tmp_path / "report.txt"
+    rc_file, out_file = run(capsys, *argv, "--output", str(target))
+    assert rc_file == rc == 0
+    assert out_file == f"wrote {target}\n"
+    assert target.read_text(encoding="utf-8") == out

@@ -26,6 +26,7 @@ differences).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -50,8 +51,9 @@ from superroots import (
     root,
     root_string,
 )
+from superroots import roots
 from superroots.linalg import rank
-from superroots.roots import eps_delta_basis
+from superroots.roots import AmbientBasis, eps_delta_basis
 
 EXPECTED_COUNTS = {
     "A,2,1": (21, 12),  # blocks 3,2: 6 + 2 + 12
@@ -380,3 +382,29 @@ def test_span_basis_matches_greedy_rank_loop():
         rs = build_finite(tid)
         assert rs.span_basis == _greedy_span_basis(rs), tid
         assert len(rs.span_basis) == rank([list(r.coords) for r in rs.nonzero]), tid
+
+
+@pytest.mark.parametrize("token", ["F4", "BC,2,2"])
+def test_axiom_check_pairs_no_root_twice(token, monkeypatch):
+    # the checker reads the integer pairing and string tables, so it makes no
+    # per-pair call to the form or to cartan_integer on these rational bases
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cartan = roots.cartan_integer
+    monkeypatch.setattr(AmbientBasis, "form", counted(AmbientBasis.form))
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "superroots" and getattr(module, "cartan_integer", None) is cartan:
+            monkeypatch.setattr(module, "cartan_integer", counted(cartan))
+    rs = build_finite(parse_type_token(token))
+    assert check_supersystem_axioms(rs).passed
+    assert calls == []
+    # the counters do see a direct call
+    alpha = rs.real_roots()[0]
+    roots.cartan_integer(rs.basis, alpha, alpha)
+    assert calls == ["cartan_integer", "form", "form"]

@@ -3,10 +3,12 @@
 ``closure_violations``, ``check_parabolic``'s non-ray fallback,
 ``validate_shadow`` and ``root_string`` decide each pair of roots from the
 pair's lines and a few integer levels; ``verify_zeta`` decides each line
-from the functional's exact level sets on it.  The reference functions
-below are the plain windowed scans that enumerate every window root or
-pair of window roots; the exact versions must return the same answers in
-the same order, and raise the same errors.
+from the functional's exact level sets on it; kinds, the axioms and
+``irreducible_components`` read a finite set's integer pairing table.  The
+reference functions below are the plain windowed scans that enumerate every
+window root or pair of window roots, and pair finite roots with
+``basis.form`` one pair at a time; the exact versions must return the same
+answers in the same order, and raise the same errors.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from superroots import (
     even_subset,
     hybrid_class,
     induce_from_functional,
+    irreducible_components,
     parse_type_token,
     root,
     root_string,
@@ -40,7 +43,14 @@ from superroots import (
     validate_shadow,
 )
 from superroots.errors import BasisMismatch, NotARoot, SuperrootsError
-from superroots.roots import KIND_REAL, eps_delta_basis
+from superroots.linalg import det
+from superroots.roots import (
+    KIND_IMAGINARY,
+    KIND_NONSINGULAR,
+    KIND_REAL,
+    KIND_ZERO,
+    eps_delta_basis,
+)
 from superroots.shadows import DOWN, UP, ShadowReport, Violation
 from superroots.subsets import component_parabolic
 from superroots.zeta import (
@@ -182,6 +192,81 @@ def scanned_axioms_c_d(rs: FiniteRootSet) -> tuple[str, str]:
         f"({ax}) {'FAIL' if detail else 'ok'}" + (f": {detail}" if detail else "")
         for ax, detail in (("c", detail_c), ("d", detail_d))
     )
+
+
+def scanned_kind(rs: FiniteRootSet, r: Root) -> str:
+    if r.is_zero_vector():
+        return KIND_ZERO
+    if all(rs.basis.form(r, s).is_zero() for s in rs.roots):
+        return KIND_IMAGINARY
+    return KIND_NONSINGULAR if rs.basis.form(r, r).is_zero() else KIND_REAL
+
+
+def scanned_axiom_e(rs: FiniteRootSet) -> str:
+    """The first nonsingular alpha and beta with (alpha, beta) != 0 and beta +- alpha absent."""
+    for alpha in rs.roots:
+        if scanned_kind(rs, alpha) != KIND_NONSINGULAR:
+            continue
+        for beta in rs.roots:
+            if rs.basis.form(alpha, beta).is_zero():
+                continue
+            if beta + alpha not in rs.members and beta - alpha not in rs.members:
+                return f"{beta} +- {alpha} both absent"
+    return ""
+
+
+def scanned_gram(rs: FiniteRootSet, lam) -> list[list[Q]]:
+    return [[rs.basis.form(a, b).at(lam) for b in rs.span_basis] for a in rs.span_basis]
+
+
+def scanned_axiom_report(rs: FiniteRootSet) -> str:
+    """``str(check_supersystem_axioms(rs))`` from pair-by-pair ``basis.form`` scans."""
+    zero = Root(tuple(Q(0) for _ in range(rs.basis.dim)))
+    details = {"a": f"{len(rs.roots)} vectors, span rank {rs.span_rank}"}
+    passed = {"a": zero in rs.members}
+    missing = [r for r in rs.roots if -r not in rs.members]
+    details["b"] = f"missing -{missing[0]}" if missing else ""
+    lines = [
+        f"({ax}) {'ok' if passed.get(ax, not details[ax]) else 'FAIL'}"
+        + (f": {details[ax]}" if details[ax] else "")
+        for ax in ("a", "b")
+    ]
+    lines += scanned_axioms_c_d(rs)
+    detail_e = scanned_axiom_e(rs)
+    lines.append(f"(e) FAIL: {detail_e}" if detail_e else "(e) ok")
+    rank = len(rs.span_basis)
+    degree = min(rank, sum(1 for g in rs.basis.gram_diag if g.lam != 0))
+    samples = [Q(p) for p in (2, 3, 5, 7, 11)][: degree + 1]
+    dets = [det(scanned_gram(rs, lam)) for lam in samples]
+    if all(dets):
+        lines.append(f"(f) ok: span rank {rank}")
+    elif not any(dets):
+        lines.append("(f) FAIL: form degenerate on the span")
+    else:
+        lines.append(f"(f) FAIL: form degenerate at parameter {samples[dets.index(0)]}")
+    return "\n".join(lines)
+
+
+def scanned_components(rs: FiniteRootSet) -> list[tuple[Root, ...]]:
+    """The non-orthogonality components of the non-imaginary nonzero roots, each with 0."""
+    nodes = [r for r in rs.nonzero if scanned_kind(rs, r) != KIND_IMAGINARY]
+    zero = Root(tuple(Q(0) for _ in range(rs.basis.dim)))
+    seen: set[Root] = set()
+    comps = []
+    for start in nodes:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            cur = stack.pop()
+            for other in nodes:
+                if other not in comp and not rs.basis.form(cur, other).is_zero():
+                    comp.add(other)
+                    stack.append(other)
+        seen |= comp
+        comps.append(comp)
+    comps.sort(key=lambda c: min(r.key() for r in c))
+    return [tuple(sorted(c | {zero}, key=lambda r: r.key())) for c in comps]
 
 
 def windowed_verify_zeta(result: ZetaResult, S: RootSubset, kmax: int, shadow=None) -> list[str]:
@@ -448,6 +533,53 @@ def test_root_string_errors_match_scan():
         text = raised(root_string, b11, beta, alpha)
         assert text == "string does not contain beta"
         assert text == raised(scanned_root_string, b11, beta, alpha)
+
+
+def pairing_table_cases():
+    """Every axiom type, the gapped set, and D21L at rational lambdas whose
+    Gram diagonals carry denominators (5/3, -1/2) or not (7)."""
+    cases = [(token, build_finite(parse_type_token(token))) for token in AXIOM_TYPES]
+    cases.append(("gapped", gapped_set()))
+    for lam in ("5/3", "-1/2", "7"):
+        fin = build_affine(parse_type_token("D21L"), lambda_value=Q(lam)).finite
+        cases.append((f"D21L@{lam}", fin))
+    return cases
+
+
+PAIRING_TABLE_CASES = pairing_table_cases()
+PAIRING_TABLE_IDS = [name for name, _ in PAIRING_TABLE_CASES]
+
+
+@pytest.mark.parametrize("case", PAIRING_TABLE_CASES, ids=PAIRING_TABLE_IDS)
+def test_kinds_match_pairwise_scan(case):
+    _, rs = case
+    assert [rs.kind(r) for r in rs.roots] == [scanned_kind(rs, r) for r in rs.roots]
+    assert [rs.norm(r) for r in rs.roots] == [rs.basis.norm(r) for r in rs.roots]
+
+
+@pytest.mark.parametrize("case", PAIRING_TABLE_CASES, ids=PAIRING_TABLE_IDS)
+def test_axiom_report_matches_pairwise_scan(case):
+    _, rs = case
+    assert str(check_supersystem_axioms(rs)) == scanned_axiom_report(rs)
+
+
+@pytest.mark.parametrize("case", PAIRING_TABLE_CASES, ids=PAIRING_TABLE_IDS)
+def test_components_match_pairwise_scan(case):
+    _, rs = case
+    comps = irreducible_components(rs)
+    assert [c.roots for c in comps] == scanned_components(rs)
+    assert [c.odd for c in comps] == [rs.odd & set(c.roots) for c in comps]
+
+
+def test_axiom_e_failure_matches_pairwise_scan():
+    """B,1,1 without +-(e1 - d1): -2d1 +- (-e1 - d1) are both absent, so (e) fails."""
+    b11 = build_finite(parse_type_token("B,1,1"))
+    e1, d1 = root(1, 0), root(0, 1)
+    kept = tuple(r for r in b11.roots if r not in (e1 - d1, d1 - e1))
+    rs = FiniteRootSet(FiniteTypeId("PURE"), b11.basis, kept, b11.odd & set(kept), "cut")
+    report = check_supersystem_axioms(rs)
+    assert "e" in report.failed_axioms
+    assert str(report) == scanned_axiom_report(rs)
 
 
 def test_axioms_c_and_d_both_fail_like_the_scans():
