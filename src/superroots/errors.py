@@ -60,7 +60,11 @@ class NotUniformlyHybrid(SuperrootsError):
 
 
 class NoCompatibleBase(SuperrootsError):
-    """Base search exhausted its orbit without finding a positivity-compatible base."""
+    """No delta-shifted base is compatible with the parabolic: an exact verdict.
+
+    ``searched`` counts the bases the walk visited in its threshold box; it
+    is 0 when P's level sets rule every base out before any walk.
+    """
 
     def __init__(self, message: str, searched: int = 0):
         super().__init__(message)

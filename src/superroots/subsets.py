@@ -171,10 +171,8 @@ class Component:
     dot: FiniteRootSet
     vectors: tuple[Root, ...]  # nonzero finite vectors, negation-closed
     subset: RootSubset  # full lines over the vectors, zero line included
-    # zeta.select_base's P-independent base catalogue, per kcap; filled lazily
-    _catalogue: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
+    # zeta.select_base's P-independent start base; filled on its first call
+    _zeta_start: object = field(default=None, init=False, compare=False, hash=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,8 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
     Requirements checked here:
 
     * the subset is symmetric and (windowed) closed,
-    * every even line that meets the subset lies in it entirely,
+    * every even line that meets the subset lies in it entirely, at every
+      level (a missing level beyond the window is named as the witness too),
     * the finite core is a finite root system (all vectors real, pairings
       integral, strings unbroken).
     """
@@ -210,12 +209,15 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
         if line == system.zero_root:
             continue
         if not ks.is_all:
-            for k in range(-kmax, kmax + 1):
-                if k not in ks:
-                    raise HypothesisViolated(
-                        f"even line {system.format(line)} only partially present",
-                        witness=Root(line.coords, k, line.sigma),
-                    )
+            missing = ks.complement_in(range(-kmax, kmax + 1))
+            gap = kmax
+            while not missing:  # the missing level nearest the window, lower first
+                gap += 1
+                missing = [k for k in (-gap, gap) if k not in ks]
+            raise HypothesisViolated(
+                f"even line {system.format(line)} only partially present",
+                witness=Root(line.coords, missing[0], line.sigma),
+            )
         core_vectors.append(Root(line.coords))
     if not any(
         system.classify(Root(v.coords)) == KIND_REAL for v in core_vectors

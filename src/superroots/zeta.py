@@ -20,12 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import lcm
 from typing import NamedTuple
 
 from .affine import AffineRootSystem
 from .basefind import factor_roots, find_base, highest_root
-from .errors import BasisMismatch, CaseMismatch, NoCompatibleBase, OutsideSpan
+from .errors import (
+    BasisMismatch,
+    CaseMismatch,
+    NoCompatibleBase,
+    NotAFiniteRootSystem,
+    OutsideSpan,
+)
 from .intsets import IntegerSet
 # solve stays bound here for the benchmark tracer, whose self-test wraps it at
 # every module that imports it
@@ -128,117 +133,37 @@ def _strictly_positive(P: RootSubset, r: Root) -> bool:
     return P.contains(r) and not P.contains(-r)
 
 
-class _Candidate(NamedTuple):
-    """An orbit base that passes every test not involving P."""
+class _StartBase(NamedTuple):
+    """What the base walk needs of a component, whatever the parabolic."""
 
-    elements: tuple[int, ...]  # indices into _BaseCatalogue.roots
-    marks: tuple[int, ...]  # delta-expansion coefficients, all >= 1
-    thresholds: tuple[int, ...]  # th(f) for f in comp.vectors, in order
-
-
-class _BaseCatalogue(NamedTuple):
-    """The part of the base search that depends on the component and kcap only."""
-
-    searched: int  # orbit size
-    roots: tuple[Root, ...]  # every element of a candidate, once
-    lines: tuple[Root, ...]  # the level-0 line of each component vector
-    candidates: tuple[_Candidate, ...]  # in orbit (element key) order
+    lines: tuple[Root, ...]  # the level-0 line of each component vector, in key order
+    opposite: tuple[int, ...]  # the index of -f, per line f
+    columns: tuple[tuple[int, ...], ...]  # columns[j][i] = A[i][j] over the start base
+    marks: tuple[int, ...]  # delta's coordinates over the start base
+    xs: tuple[tuple[int, ...], ...]  # each line's coordinates over the start base
 
 
-def _base_catalogue(system: AffineRootSystem, comp: Component, kcap: int) -> _BaseCatalogue:
-    """The start base's reflection orbit within |k| <= kcap, with marks and thresholds.
-
-    The start base is the component's base plus delta - theta.  The walk
-    holds every orbit base as integers over it, one position per start
-    element: the element's coordinates and delta-level, and each line's
-    coordinates x over the base.  The reflection in the element e_j at
-    position j sends element i to e_i - A[i][j]*e_j and changes a line's
-    x_j alone, by <f, e_j> = sum_i x_i*A[i][j].  Two invariants make the
-    start base's data hold at every base, index by index: a reflection is
-    an isometry, so the Cartan matrix A carries over, and it fixes delta,
-    so the marks (delta's coordinates) do too.  Roots are built once per
-    distinct element, at the end.
-
-    A base is kept when its marks are positive integers and its thresholds
-    satisfy th(f) + th(-f) = 1, th(f) being the least k with f + k*delta
-    positive: the largest ceil(-x_i / m_i).  Neither filter has rejected a
-    base on any type tried; ``tests/test_zeta.py`` checks that, and checks
-    the walk against a ``Root`` search with one factorisation per base.
-    """
+def _start_base(system: AffineRootSystem, comp: Component) -> _StartBase:
+    """The start base (the component's base plus delta - theta), in integers."""
     dot_base = find_base(comp.dot)
     theta, _ = highest_root(comp.dot, dot_base)
-    start = tuple(sorted(dot_base + (system.delta - theta,), key=Root.key))
-    n = len(start)
-    columns = [tuple(system.cartan(b, a) for b in start) for a in start]  # columns[j][i] = A[i][j]
+    start = dot_base + (system.delta - theta,)
     fac = factor_roots(start)
-    marks = fac.solve(system.delta.vector())
-    lines = tuple(Root(f.coords, 0, f.sigma) for f in comp.vectors)
-    expansions = [fac.solve(line.vector()) for line in lines]
-    keep = (
-        marks is not None
-        and all(m.denominator == 1 and m > 0 for m in marks)
-        and None not in expansions
+    lines = tuple(sorted((Root(f.coords, 0, f.sigma) for f in comp.vectors), key=Root.key))
+    solved = [fac.solve(r.vector()) for r in (system.delta,) + lines]
+    if None in solved or any(x.denominator != 1 for xs in solved for x in xs) or min(solved[0]) <= 0:
+        raise NotAFiniteRootSystem(
+            f"component {comp.index}: no positive integral marks and integral lines "
+            "over the start base"
+        )
+    marks, *xs = solved
+    return _StartBase(
+        lines,
+        tuple(lines.index(-f) for f in lines),
+        tuple(tuple(system.cartan(b, a) for b in start) for a in start),
+        tuple(int(m) for m in marks),
+        tuple(tuple(int(x) for x in line) for line in xs),
     )
-    if keep:
-        # integer line coordinates, scaled by one common denominator
-        scale = lcm(*(x.denominator for xs in expansions for x in xs))
-        divisors = [int(m) * scale for m in marks]
-        first_xs = tuple(tuple(int(x * scale) for x in xs) for xs in expansions)
-    else:
-        first_xs = ()
-    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    first = (unit, tuple(b.k for b in start), first_xs)
-    orbit = {frozenset(unit): first}
-    stack = [first]
-    while stack:
-        coords, ks, xs = stack.pop()
-        for j, col in enumerate(columns):
-            kj = ks[j]
-            image_ks = tuple(k - a * kj for k, a in zip(ks, col))
-            if any(k > kcap or k < -kcap for k in image_ks):
-                continue
-            cj = coords[j]
-            image = tuple(
-                tuple(x - a * y for x, y in zip(c, cj)) if a else c for c, a in zip(coords, col)
-            )
-            key = frozenset(image)
-            if key in orbit:
-                continue
-            image_xs = tuple(
-                x[:j] + (x[j] - sum(xi * a for xi, a in zip(x, col)),) + x[j + 1:] for x in xs
-            )
-            orbit[key] = state = (image, image_ks, image_xs)
-            stack.append(state)
-    if not keep:
-        return _BaseCatalogue(len(orbit), (), lines, ())
-
-    # one Root per distinct element; ranks follow Root.key, so bases sort as roots would
-    built = {
-        c: sum((b.scale(x) for x, b in zip(c, start) if x), system.zero_root)
-        for c in set().union(*orbit)
-    }
-    by_rank = sorted(built, key=lambda c: built[c].key())
-    rank = {c: i for i, c in enumerate(by_rank)}
-    bases = []
-    for coords, _, xs in orbit.values():
-        order = sorted(range(n), key=lambda i: rank[coords[i]])
-        bases.append((tuple(rank[coords[i]] for i in order), order, xs))
-    bases.sort(key=lambda b: b[0])
-    opposite = [comp.vectors.index(-f) for f in comp.vectors]
-    index: dict[int, int] = {}
-    candidates = []
-    for ranks, order, xs in bases:
-        thresholds = tuple(max(-(x // d) for x, d in zip(line, divisors)) for line in xs)
-        if all(thresholds[i] + thresholds[j] == 1 for i, j in enumerate(opposite)):
-            candidates.append(
-                _Candidate(
-                    tuple(index.setdefault(r, len(index)) for r in ranks),
-                    tuple(int(marks[i]) for i in order),
-                    thresholds,
-                )
-            )
-    roots = tuple(built[by_rank[r]] for r in index)
-    return _BaseCatalogue(len(orbit), roots, lines, tuple(candidates))
 
 
 def select_base(
@@ -249,50 +174,96 @@ def select_base(
     Compatibility: the positive roots carved out by the base lie inside P
     on every line, positive imaginary levels included.  Among compatible
     choices, prefer a larger ``t`` and break ties by the sorted element
-    keys, so the result is deterministic.
+    keys, then by the first mark-1 element, so the result is deterministic.
 
-    The P-independent work is the component's base catalogue, built on the
-    first call for each ``kcap`` and kept on the component; a call itself
-    only tests the catalogue's thresholds and elements against P.
+    A base is walked as its lines' integer coordinates x over it; the
+    reflection in the element at position j changes each line's x_j alone,
+    by <f, e_j> = sum_i x_i*A[i][j].  A reflection fixes delta and keeps
+    the pairing, so the start base's marks m and Cartan matrix A hold at
+    every base, position by position.  The threshold th(f), the least k
+    with f + k*delta positive, is the largest ceil(-x_i / m_i), and a base
+    is compatible exactly when th(f) >= lo(f) on every line, lo(f) being
+    the least a with [a, oo) inside P's levels.  Its elements are the
+    f + th(f)*delta whose coordinates sum to 1, so no ``Root`` is built
+    until the chosen base.
+
+    The walk keeps a base only inside the box th(f) >= min(th0(f), lo(f))
+    on every line, th0 being the start base's thresholds; since th(f) +
+    th(-f) = 1, these lower bounds are also upper bounds on the opposite
+    lines.  Each bound fixes the sign of one root, so the box is an
+    intersection of half-apartments: it is convex, holds the start base
+    and every compatible base, and simple reflections inside it reach all
+    of them.  So the verdict is exact, and NoCompatibleBase.searched counts
+    the bases of the box.  A line that P holds at every level has no lo(f)
+    and raises CaseMismatch (on a rank-1 component its compatible bases
+    are infinitely many).  The start data does not depend on P and is kept
+    on the component.
     """
-    kcap = 3
-    for ks in P.lines.values():
-        if ks.up is not None:
-            kcap = max(kcap, abs(ks.up) + 2)
-        if ks.down is not None:
-            kcap = max(kcap, abs(ks.down) + 2)
-    cat = comp._catalogue.get(kcap)
-    if cat is None:
-        cat = comp._catalogue[kcap] = _base_catalogue(system, comp, kcap)
+    if not IntegerSet.at_least(1).is_subset(P.levels(system.zero_root)):
+        raise NoCompatibleBase(
+            f"no compatible shifted base for component {comp.index}: "
+            "P misses positive imaginary levels"
+        )
+    start = comp._zeta_start
+    if start is None:
+        start = _start_base(system, comp)
+        object.__setattr__(comp, "_zeta_start", start)
+    levels = [P.levels(line) for line in start.lines]
+    for line, ks in zip(start.lines, levels):
+        if ks.up is None and not ks.is_all:
+            raise NoCompatibleBase(
+                f"no compatible shifted base for component {comp.index}: "
+                f"P holds no up-ray on {system.format(line)}"
+            )
+    for line, ks in zip(start.lines, levels):
+        if ks.is_all:
+            raise CaseMismatch(
+                f"component {comp.index}: P holds every level of {system.format(line)}, "
+                "so no least level bounds the base search"
+            )
+    lo = [ks.up for ks in levels]
+    marks = start.marks
+
+    def thresholds(xs):
+        return tuple(max(-(x // m) for x, m in zip(line, marks)) for line in xs)
+
+    first = thresholds(start.xs)
+    bound = [min(th, a) for th, a in zip(first, lo)]
+    seen = {first}
+    stack = [(start.xs, first)]
     best = None
-    if IntegerSet.at_least(1).is_subset(P.levels(system.zero_root)):
-        levels = [P.levels(line) for line in cat.lines]
-        positive: list[bool | None] = [None] * len(cat.roots)
-
-        def is_positive(e: int) -> bool:
-            if positive[e] is None:
-                positive[e] = _strictly_positive(P, cat.roots[e])
-            return positive[e]
-
-        for cand in cat.candidates:
-            if not all(
-                IntegerSet.at_least(th).is_subset(ks) for th, ks in zip(cand.thresholds, levels)
-            ):
-                continue
-            total = sum(is_positive(e) for e in cand.elements)
-            for i, (e, m) in enumerate(zip(cand.elements, cand.marks)):
-                if m != 1:
-                    continue
-                u = int(is_positive(e))
-                # the first maximal t wins: candidates come in key order
-                if best is None or total - u > best[0]:
-                    best = (total - u, cand, i, u)
+    while stack:
+        xs, ths = stack.pop()
+        if all(th >= a for th, a in zip(ths, lo)):
+            fs, js = [], []  # the base's lines in key order, and their positions
+            for f, (x, th) in enumerate(zip(xs, ths)):
+                coords = [xi + th * m for xi, m in zip(x, marks)]
+                if sum(coords) == 1:
+                    fs.append(f)
+                    js.append(coords.index(1))
+            key = tuple((f, ths[f]) for f in fs)
+            positive = [-ths[f] not in levels[start.opposite[f]] for f in fs]
+            # t is largest at the first mark-1 element that is not strictly positive
+            ones = [i for i, j in enumerate(js) if marks[j] == 1]
+            i = next((i for i in ones if not positive[i]), ones[0])
+            t = sum(positive) - positive[i]
+            if best is None or (-t, key) < best[0]:
+                best = (-t, key), js, i, t, int(positive[i])
+        for j, col in enumerate(start.columns):
+            image = tuple(
+                x[:j] + (x[j] - sum(xi * a for xi, a in zip(x, col)),) + x[j + 1:] for x in xs
+            )
+            image_ths = thresholds(image)
+            if image_ths not in seen and all(th >= b for th, b in zip(image_ths, bound)):
+                seen.add(image_ths)
+                stack.append((image, image_ths))
     if best is None:
         raise NoCompatibleBase(
-            f"no compatible shifted base for component {comp.index}", searched=cat.searched
+            f"no compatible shifted base for component {comp.index}", searched=len(seen)
         )
-    t, cand, i, u = best
-    return BaseChoice(tuple(cat.roots[e] for e in cand.elements), cand.marks, i, t, u)
+    (_, key), js, i, t, u = best
+    elements = tuple(start.lines[f].shift(th) for f, th in key)
+    return BaseChoice(elements, tuple(marks[j] for j in js), i, t, u)
 
 
 @dataclass(frozen=True)

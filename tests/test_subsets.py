@@ -197,6 +197,23 @@ def test_decompose_rejects_partial_even_line():
         decompose(s, sub)
 
 
+def test_decompose_rejects_a_partial_even_line_beyond_the_window():
+    s = b11()
+    e1 = Root((Q(1), Q(0)), 0, 0)
+    lines = dict(even_subset(s).lines)
+    lines[-e1] = IntegerSet.at_least(-20)
+    lines[e1] = IntegerSet.at_most(20)
+    sub = RootSubset.of(s, lines)
+    # symmetric, and every window level is there: only levels beyond 2*kmax
+    # show that -e1-20d + (-d) = -e1-21d is missing
+    assert sub.is_symmetric()
+    assert sub.closure_violations(6) == []
+    with pytest.raises(HypothesisViolated) as exc:
+        decompose(s, sub, kmax=6)
+    assert "only partially present" in str(exc.value)
+    assert exc.value.witness in {Root((Q(-1), Q(0)), -21, 0), Root((Q(1), Q(0)), 21, 0)}
+
+
 def test_decompose_rejects_unclosed():
     s = b11()
     d1 = Root((Q(0), Q(1)), 0, 0)

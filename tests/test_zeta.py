@@ -21,11 +21,12 @@ from __future__ import annotations
 import functools
 import time
 from fractions import Fraction as Q
-from math import ceil
+from math import ceil, lcm
+from typing import NamedTuple
 
 import pytest
 
-from superroots.affine import build_affine
+from superroots.affine import AffineRootSystem, build_affine
 from superroots.basefind import factor_roots, find_base, highest_root
 from superroots.errors import (
     BasisMismatch,
@@ -38,12 +39,18 @@ from superroots.finite import parse_type_token
 from superroots.intsets import IntegerSet
 from superroots.roots import Root, root
 from superroots.shadows import DOWN, UP, Shadow
-from superroots.subsets import RootSubset, component_parabolic, decompose, even_subset
+from superroots.subsets import (
+    Component,
+    RootSubset,
+    check_parabolic,
+    component_parabolic,
+    decompose,
+    even_subset,
+)
 from superroots.zeta import (
+    BaseChoice,
     LinearFunctional,
-    _base_catalogue,
-    _BaseCatalogue,
-    _Candidate,
+    _strictly_positive,
     ZetaComponent,
     ZetaResult,
     construct_zeta,
@@ -258,9 +265,10 @@ def test_select_base_no_compatible_base():
     )
     with pytest.raises(NoCompatibleBase) as exc:
         select_base(s, comp, P)
-    assert exc.value.searched > 0
+    # the box th(2d1) >= min(0, 10), th(-2d1) >= min(1, 0) holds two bases
+    assert exc.value.searched == 2
 
-    # a zero line missing its positive levels is just as fatal
+    # a zero line missing its positive levels is just as fatal, before any walk
     P2 = RootSubset.of(
         s,
         {
@@ -269,33 +277,63 @@ def test_select_base_no_compatible_base():
             line_plus: IntegerSet.at_least(1),
         },
     )
-    with pytest.raises(NoCompatibleBase):
+    with pytest.raises(NoCompatibleBase) as exc:
         select_base(s, comp, P2)
+    assert exc.value.searched == 0
+
+    # so is a line without an up-ray
+    P3 = RootSubset.of(
+        s,
+        {
+            s.zero_root: IntegerSet.at_least(0),
+            line_minus: IntegerSet.at_least(0),
+            line_plus: IntegerSet.at_most(5),
+        },
+    )
+    with pytest.raises(NoCompatibleBase) as exc:
+        select_base(s, comp, P3)
+    assert exc.value.searched == 0
+
+
+def test_select_base_rejects_a_line_held_at_every_level():
+    s = b11()
+    _, dec, _, _ = setup_system(s, [(0, 0), (0, 0)])
+    P = RootSubset.of(
+        s,
+        {
+            s.zero_root: IntegerSet.at_least(0),
+            Root((Q(0), Q(-2)), 0, 0): IntegerSet.all(),
+            Root((Q(0), Q(2)), 0, 0): IntegerSet.at_least(3),
+        },
+    )
+    with pytest.raises(CaseMismatch):
+        select_base(s, dec.components[1], P)
 
 
 def _exhausting_parabolic(system, comp, level):
-    """Every line of the component from ``level`` up: th(f) + th(-f) = 1 cannot fit."""
+    """Every line of the component from ``level`` up: th(f) + th(-f) = 1 cannot fit above 0."""
     mapping = {system.zero_root: IntegerSet.at_least(0)}
     for f in comp.vectors:
         mapping[Root(f.coords, 0, f.sigma)] = IntegerSet.at_least(level)
     return RootSubset.of(system, mapping)
 
 
-def _base_or_searched(system, comp, P):
+def _verdict(select, system, comp, P):
     try:
-        return select_base(system, comp, P)
-    except NoCompatibleBase as exc:
-        return ("no compatible base", exc.searched)
+        return select(system, comp, P)
+    except NoCompatibleBase:
+        return "no compatible base"
 
 
 @pytest.mark.parametrize("token", ["B,1,1", "D21L", "A,2,1"])
 def test_select_base_warm_matches_cold(token):
-    """A component reused across parabolics (and kcap values) answers like a fresh one."""
+    """A component reused across parabolics answers like a fresh one."""
     system = build_affine(parse_type_token(token))
     subset = even_subset(system)
     warm = decompose(system, subset, kmax=6).components
-    # kcap 3, 5, 3, 6, 6, 3: found and (on A,2,1's A2 part) exhausted searches
+    # found and (on A,2,1's A2 part) exhausted searches
     plan = [(0, 0), (3, 1), (1, -1), (-3, 0), "exhausting", (0, 0)]
+    memos = None
     for step in plan:
         if step == "exhausting":
             parabolics = [_exhausting_parabolic(system, comp, 4) for comp in warm]
@@ -304,12 +342,239 @@ def test_select_base_warm_matches_cold(token):
             parabolics = [component_parabolic(system, comp, table, UP) for comp in warm]
         cold = decompose(system, subset, kmax=6).components
         for comp, fresh, P in zip(warm, cold, parabolics):
-            assert _base_or_searched(system, comp, P) == _base_or_searched(system, fresh, P)
-    assert all(sorted(comp._catalogue) == [3, 5, 6] for comp in warm)
+            assert _verdict(select_base, system, comp, P) == _verdict(select_base, system, fresh, P)
+            assert comp._zeta_start == fresh._zeta_start
+        if memos is None:
+            memos = [comp._zeta_start for comp in warm]
+    # one memo per component, filled once and never replaced by another P
+    assert all(memo is not None for memo in memos)
+    assert all(comp._zeta_start is memo for comp, memo in zip(warm, memos))
 
 
+def test_select_base_on_a_parabolic_that_is_not_closed():
+    """Descent (reflecting in simple roots outside P) stops here at a base whose
+    simple roots all lie in P but which is not compatible; the box walk finds
+    the compatible base."""
+    system, comps = _components("A,2,1")
+    table = hybrid_assignment_shadows(system, comps, [(-1, -1)] * len(comps), UP)
+    comp = next(c for c in comps if len(c.vectors) == 6)  # the A2 part
+    P = component_parabolic(system, comp, table, UP)
+    assert check_parabolic(P, comp.subset, 6).additive_violations
+    bc = select_base(system, comp, P)
+    assert [system.format(e) for e in bc.elements] == ["-e1+e2-d", "-e2+e3-d", "e1-e3+3d"]
+    assert bc.marks == (1, 1, 1)
+    assert (bc.t, bc.u) == (2, 1)
 
-# -- base catalogue: the integer orbit walk against the Root BFS ----------------------
+
+# -- the capped orbit catalogue: the oracle for select_base -----------------------
+
+
+class _Candidate(NamedTuple):
+    """An orbit base that passes every test not involving P."""
+
+    elements: tuple[int, ...]  # indices into _BaseCatalogue.roots
+    marks: tuple[int, ...]  # delta-expansion coefficients, all >= 1
+    thresholds: tuple[int, ...]  # th(f) for f in comp.vectors, in order
+
+
+class _BaseCatalogue(NamedTuple):
+    """The part of the base search that depends on the component and kcap only."""
+
+    searched: int  # orbit size
+    roots: tuple[Root, ...]  # every element of a candidate, once
+    lines: tuple[Root, ...]  # the level-0 line of each component vector
+    candidates: tuple[_Candidate, ...]  # in orbit (element key) order
+
+
+def _base_catalogue(system: AffineRootSystem, comp: Component, kcap: int) -> _BaseCatalogue:
+    """The start base's reflection orbit within |k| <= kcap, with marks and thresholds.
+
+    The start base is the component's base plus delta - theta.  The walk
+    holds every orbit base as integers over it, one position per start
+    element: the element's coordinates and delta-level, and each line's
+    coordinates x over the base.  The reflection in the element e_j at
+    position j sends element i to e_i - A[i][j]*e_j and changes a line's
+    x_j alone, by <f, e_j> = sum_i x_i*A[i][j].  Two invariants make the
+    start base's data hold at every base, index by index: a reflection is
+    an isometry, so the Cartan matrix A carries over, and it fixes delta,
+    so the marks (delta's coordinates) do too.  Roots are built once per
+    distinct element, at the end.
+
+    A base is kept when its marks are positive integers and its thresholds
+    satisfy th(f) + th(-f) = 1, th(f) being the least k with f + k*delta
+    positive: the largest ceil(-x_i / m_i).  Neither filter has rejected a
+    base on any type tried; ``tests/test_zeta.py`` checks that, and checks
+    the walk against a ``Root`` search with one factorisation per base.
+    """
+    dot_base = find_base(comp.dot)
+    theta, _ = highest_root(comp.dot, dot_base)
+    start = tuple(sorted(dot_base + (system.delta - theta,), key=Root.key))
+    n = len(start)
+    columns = [tuple(system.cartan(b, a) for b in start) for a in start]  # columns[j][i] = A[i][j]
+    fac = factor_roots(start)
+    marks = fac.solve(system.delta.vector())
+    lines = tuple(Root(f.coords, 0, f.sigma) for f in comp.vectors)
+    expansions = [fac.solve(line.vector()) for line in lines]
+    keep = (
+        marks is not None
+        and all(m.denominator == 1 and m > 0 for m in marks)
+        and None not in expansions
+    )
+    if keep:
+        # integer line coordinates, scaled by one common denominator
+        scale = lcm(*(x.denominator for xs in expansions for x in xs))
+        divisors = [int(m) * scale for m in marks]
+        first_xs = tuple(tuple(int(x * scale) for x in xs) for xs in expansions)
+    else:
+        first_xs = ()
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    first = (unit, tuple(b.k for b in start), first_xs)
+    orbit = {frozenset(unit): first}
+    stack = [first]
+    while stack:
+        coords, ks, xs = stack.pop()
+        for j, col in enumerate(columns):
+            kj = ks[j]
+            image_ks = tuple(k - a * kj for k, a in zip(ks, col))
+            if any(k > kcap or k < -kcap for k in image_ks):
+                continue
+            cj = coords[j]
+            image = tuple(
+                tuple(x - a * y for x, y in zip(c, cj)) if a else c for c, a in zip(coords, col)
+            )
+            key = frozenset(image)
+            if key in orbit:
+                continue
+            image_xs = tuple(
+                x[:j] + (x[j] - sum(xi * a for xi, a in zip(x, col)),) + x[j + 1:] for x in xs
+            )
+            orbit[key] = state = (image, image_ks, image_xs)
+            stack.append(state)
+    if not keep:
+        return _BaseCatalogue(len(orbit), (), lines, ())
+
+    # one Root per distinct element; ranks follow Root.key, so bases sort as roots would
+    built = {
+        c: sum((b.scale(x) for x, b in zip(c, start) if x), system.zero_root)
+        for c in set().union(*orbit)
+    }
+    by_rank = sorted(built, key=lambda c: built[c].key())
+    rank = {c: i for i, c in enumerate(by_rank)}
+    bases = []
+    for coords, _, xs in orbit.values():
+        order = sorted(range(n), key=lambda i: rank[coords[i]])
+        bases.append((tuple(rank[coords[i]] for i in order), order, xs))
+    bases.sort(key=lambda b: b[0])
+    opposite = [comp.vectors.index(-f) for f in comp.vectors]
+    index: dict[int, int] = {}
+    candidates = []
+    for ranks, order, xs in bases:
+        thresholds = tuple(max(-(x // d) for x, d in zip(line, divisors)) for line in xs)
+        if all(thresholds[i] + thresholds[j] == 1 for i, j in enumerate(opposite)):
+            candidates.append(
+                _Candidate(
+                    tuple(index.setdefault(r, len(index)) for r in ranks),
+                    tuple(int(marks[i]) for i in order),
+                    thresholds,
+                )
+            )
+    roots = tuple(built[by_rank[r]] for r in index)
+    return _BaseCatalogue(len(orbit), roots, lines, tuple(candidates))
+
+
+def capped_select_base(system, comp, P, catalogue=_base_catalogue):
+    """``select_base`` over the orbit within |k| <= kcap, kcap read off P's rays."""
+    kcap = 3
+    for ks in P.lines.values():
+        if ks.up is not None:
+            kcap = max(kcap, abs(ks.up) + 2)
+        if ks.down is not None:
+            kcap = max(kcap, abs(ks.down) + 2)
+    cat = catalogue(system, comp, kcap)
+    best = None
+    if IntegerSet.at_least(1).is_subset(P.levels(system.zero_root)):
+        levels = [P.levels(line) for line in cat.lines]
+        positive: list[bool | None] = [None] * len(cat.roots)
+
+        def is_positive(e: int) -> bool:
+            if positive[e] is None:
+                positive[e] = _strictly_positive(P, cat.roots[e])
+            return positive[e]
+
+        for cand in cat.candidates:
+            if not all(
+                IntegerSet.at_least(th).is_subset(ks) for th, ks in zip(cand.thresholds, levels)
+            ):
+                continue
+            total = sum(is_positive(e) for e in cand.elements)
+            for i, (e, m) in enumerate(zip(cand.elements, cand.marks)):
+                if m != 1:
+                    continue
+                u = int(is_positive(e))
+                # the first maximal t wins: candidates come in key order
+                if best is None or total - u > best[0]:
+                    best = (total - u, cand, i, u)
+    if best is None:
+        raise NoCompatibleBase(
+            f"no compatible shifted base for component {comp.index}", searched=cat.searched
+        )
+    t, cand, i, u = best
+    return BaseChoice(tuple(cat.roots[e] for e in cand.elements), cand.marks, i, t, u)
+
+
+@functools.cache
+def _components(token):
+    system = build_affine(parse_type_token(token))
+    return system, decompose(system, even_subset(system), kmax=6).components
+
+
+@functools.cache
+def _cached_catalogue(token, index, kcap):
+    system, comps = _components(token)
+    return _base_catalogue(system, comps[index - 1], kcap)
+
+
+def _assert_matches_capped_oracle(token, pairs, directions, exhausting=()):
+    system, comps = _components(token)
+
+    def catalogue(_, comp, kcap):
+        return _cached_catalogue(token, comp.index, kcap)
+
+    cases = []
+    for direction in directions:
+        for pair in pairs:
+            table = hybrid_assignment_shadows(system, comps, [pair] * len(comps), direction)
+            for comp in comps:
+                P = component_parabolic(system, comp, table, direction)
+                # a downward P is searched upward, mirrored, as construct_zeta does
+                cases.append((comp, P.mirrored() if direction == DOWN else P, (pair, direction)))
+    for level in exhausting:
+        cases.extend((comp, _exhausting_parabolic(system, comp, level), level) for comp in comps)
+    for comp, P, label in cases:
+        oracle = functools.partial(capped_select_base, catalogue=catalogue)
+        assert _verdict(select_base, system, comp, P) == _verdict(oracle, system, comp, P), (
+            token,
+            comp.index,
+            label,
+        )
+
+
+# the 9 zeta_rank2 types and the two zeta_sweep ones
+ORACLE_TYPES = ["B,1,1", "D21L", "A,2,1", "A,1,2", "B,2,1", "B,1,2", "C,3", "D,1,2", "D,2,2", "A,2,2", "G3"]
+
+
+@pytest.mark.parametrize("token", ORACLE_TYPES)
+def test_select_base_matches_the_capped_oracle(token):
+    pairs = [(m, t) for m in range(-2, 3) for t in (-1, 0, 1)]
+    _assert_matches_capped_oracle(token, pairs, (UP, DOWN), exhausting=(0, 1, 4))
+
+
+@pytest.mark.parametrize("token", ["F4", "B,3,1"])
+def test_select_base_matches_the_capped_oracle_on_rank_3(token):
+    _assert_matches_capped_oracle(token, [(0, 0), (1, -1)], (UP,))
+
+
+# -- the oracle's integer orbit walk against the Root BFS --------------------------
 
 
 def bfs_candidate_bases(system, comp, kcap):
@@ -378,11 +643,6 @@ def factored_base_catalogue(system, comp, kcap):
 CATALOGUE_TYPES = ["B,1,1", "D21L", "A,2,1", "A,1,2", "B,2,1", "B,1,2", "C,3", "D,2,2", "A,2,2", "G3"]
 
 
-def _components(token):
-    system = build_affine(parse_type_token(token))
-    return system, decompose(system, even_subset(system), kmax=6).components
-
-
 @pytest.mark.parametrize("token", CATALOGUE_TYPES)
 def test_base_catalogue_matches_the_root_bfs(token):
     system, comps = _components(token)
@@ -428,9 +688,9 @@ def test_base_catalogue_filters_never_fire(token):
                 assert [mark_of[r] for r in orbit[frozenset(elements)]] == start_marks
 
 
-@pytest.mark.parametrize("token", ["F4", "B,3,1"])
+@pytest.mark.parametrize("token", ["F4", "B,3,1", "B,4,1", "C,5", "D,4,1", "A,4,2", "D,4,2"])
 def test_cold_zeta_on_large_types_within_budget(token):
-    """Cold: every component builds its base catalogue from scratch."""
+    """Cold: every component finds its start base and walks its box from scratch."""
     start = time.monotonic()
     system = build_affine(parse_type_token(token))
     _, dec, _, parabolics = setup_system(system, [(0, 0)] * 2)
@@ -438,6 +698,7 @@ def test_cold_zeta_on_large_types_within_budget(token):
     elapsed = time.monotonic() - start
     assert (result.case, result.zeta_delta) == ("case2", 2)
     assert elapsed < 10.0, f"cold zeta on {token} took {elapsed:.1f}s (budget 10s)"
+
 
 # -- construct_zeta: frozen fingerprints -------------------------------------------
 
