@@ -183,6 +183,28 @@ class Decomposition:
     components: tuple[Component, ...]
 
 
+def _missing_level(ks: IntegerSet, kmax: int) -> int | None:
+    """The first level of the window [-kmax, kmax] that ``ks`` misses, else
+    the missing level nearest the window (lower first), else None.
+
+    In normal form the missing levels are the integers strictly between the
+    rays that are not points, so the window's neighbours skip points only.
+    """
+    ks = ks if ks.is_all else IntegerSet.make(ks.down, ks.up, ks.points)
+    if ks.is_all:
+        return None
+    inside = ks.complement_in(range(-kmax, kmax + 1))
+    if inside:
+        return inside[0]
+    below = -kmax - 1 if ks.up is None else min(-kmax - 1, ks.up - 1)
+    while below in ks.points:
+        below -= 1
+    above = kmax + 1 if ks.down is None else max(kmax + 1, ks.down + 1)
+    while above in ks.points:
+        above += 1
+    return min((k for k in (below, above) if k not in ks), key=abs)
+
+
 def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> Decomposition:
     """Split a symmetric closed subset along its even finite core.
 
@@ -208,15 +230,11 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
     for line, ks in s0.lines.items():
         if line == system.zero_root:
             continue
-        if not ks.is_all:
-            missing = ks.complement_in(range(-kmax, kmax + 1))
-            gap = kmax
-            while not missing:  # the missing level nearest the window, lower first
-                gap += 1
-                missing = [k for k in (-gap, gap) if k not in ks]
+        gap = _missing_level(ks, kmax)
+        if gap is not None:
             raise HypothesisViolated(
                 f"even line {system.format(line)} only partially present",
-                witness=Root(line.coords, missing[0], line.sigma),
+                witness=Root(line.coords, gap, line.sigma),
             )
         core_vectors.append(Root(line.coords))
     if not any(

@@ -24,6 +24,7 @@ from superroots import (
     root,
 )
 from superroots.shadows import DOWN, UP
+from superroots.subsets import _missing_level
 
 
 def b11():
@@ -212,6 +213,27 @@ def test_decompose_rejects_a_partial_even_line_beyond_the_window():
         decompose(s, sub, kmax=6)
     assert "only partially present" in str(exc.value)
     assert exc.value.witness in {Root((Q(-1), Q(0)), -21, 0), Root((Q(1), Q(0)), 21, 0)}
+
+
+@pytest.mark.parametrize(
+    "ks, expected",
+    [
+        (IntegerSet.all(), None),
+        # rays that meet hold every level, normal form or not
+        (IntegerSet(down=3, up=2), None),
+        # a window level is missing: the first one is named
+        (IntegerSet.at_least(0), -6),
+        # points adjacent to the down-ray, as the bare constructor leaves them
+        (IntegerSet(down=-30, up=40, points=frozenset(range(-29, 30))), 30),
+        (IntegerSet(up=-10, points=frozenset({-12})), -11),
+        (IntegerSet.of(*range(-20, 21)), -21),  # equally near: lower first
+        (IntegerSet(up=50, points=frozenset(range(-40, 31))), 31),
+        # a gap far beyond the window is found without stepping towards it
+        (IntegerSet.at_most(10**12), 10**12 + 1),
+    ],
+)
+def test_missing_level(ks, expected):
+    assert _missing_level(ks, 6) == expected
 
 
 def test_decompose_rejects_unclosed():
