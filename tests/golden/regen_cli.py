@@ -26,6 +26,8 @@ from superroots.cli import main, scenario_names  # noqa: E402
 AFFINE_TYPES = ("A,2,1", "A,1,1", "B,1,1", "C,3", "D,2,1", "F4", "G3", "D21L")
 #: one type of each of the eleven finite families
 FINITE_TYPES = ("A,2,1", "A,1,1", "B,1,1", "C,3", "C,1,1", "D,2,1", "BC,1,1", "S,2", "F4", "G3", "D21L")
+#: the nine types whose windowed classification the stored tables check
+TABULATED_TYPES = ("A,2,1", "A,1,1", "B,1,1", "B,2,1", "C,2", "D,2,1", "D21L", "F4", "G3")
 
 
 def calls() -> list[list[str]]:
@@ -39,6 +41,13 @@ def calls() -> list[list[str]]:
         ["export", "--type", "D21L", "--window", "1", "--lambda", "1/2"],
     ]
     out += [["tables", "--type", t] for t in ("C,3", "G3", "A,1,1")]
+    out += [["classify", "--type", t] for t in TABULATED_TYPES]
+    out += [
+        ["export", "--type", "A,1,1", "--window", "3"],
+        ["build", "--type", "A,1,1", "--window", "7"],
+        ["tables", "--type", "G3", "--window", "6"],
+        ["shadow-validate", "--type", "B,1,1", "--window", "4", "--uniform", "up,0,1"],
+    ]
     return out
 
 

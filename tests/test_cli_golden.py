@@ -4,7 +4,9 @@
 the whole stdout of ``superroots.cli.main``; ``golden/regen_cli.py`` lists
 the calls and rewrites the file.  The calls cover every ``zeta`` scenario,
 ``axioms`` on each finite family, ``decompose``, ``build`` and ``export``
-on each affine family (both lambda modes of D21L) and ``tables``.
+on each affine family (both lambda modes of D21L), ``tables``, ``classify``
+on the nine tabulated types, wider ``build``/``export``/``tables`` windows
+and one ``shadow-validate``.
 """
 from __future__ import annotations
 
