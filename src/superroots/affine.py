@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import NotARoot, NotRealRoot, RankError
 from .finite import FiniteRootSet, FiniteTypeId, ann_block_traceless, build_finite, gl_odd_vectors
@@ -26,6 +27,19 @@ from .roots import (
     reflect as reflect_vector,
 )
 from .scalars import EXCLUDED_LAMBDA, Scalar
+
+
+class LineEntry(NamedTuple):
+    """What every member on one line is, decided once for the line."""
+
+    pos: int  # the line's position in ``AffineRootSystem.lines``
+    kind0: str  # kind of the member at k = 0
+    kind: str  # kind of the members at k != 0
+    parity: str
+    real_class: tuple[Root, int] | None  # (rep, side) of a real line
+
+    def kind_at(self, k: int) -> str:
+        return self.kind0 if k == 0 else self.kind
 
 
 @dataclass(frozen=True)
@@ -57,41 +71,55 @@ class AffineRootSystem:
 
     # -- membership and classification -------------------------------------
 
-    def contains(self, r: Root) -> bool:
+    @cached_property
+    def line_index(self) -> dict[tuple, LineEntry]:
+        """Each line's entry, keyed by its canonical (coords, sigma).
+
+        A member's kind depends only on its line and on whether k = 0, and
+        its parity on its line alone, so each line is classified once here.
+        """
+        index = {}
+        for pos, line in enumerate(self.lines):
+            f = Root(line.coords)
+            kind = self.finite.kind(f)
+            if kind == KIND_ZERO:
+                # the zero line: 0 at k = 0, a multiple of delta elsewhere
+                entry = LineEntry(pos, KIND_ZERO, KIND_IMAGINARY, EVEN, None)
+            else:
+                kind0 = KIND_ZERO if kind == KIND_IMAGINARY and line.sigma == 0 else kind
+                real_class = None
+                if kind == KIND_REAL:
+                    rep = min(f, -f, key=Root.key)
+                    real_class = (rep, 1 if f == rep else -1)
+                entry = LineEntry(pos, kind0, kind, self.finite.parity(f), real_class)
+            index[line.coords, line.sigma] = entry
+        return index
+
+    def entry(self, r: Root) -> LineEntry | None:
+        """The entry of r's line, or None when r is not a member."""
         try:
             c = self.canonicalize(r)
         except NotARoot:
-            return False
-        f = Root(c.coords)
-        if f.is_zero_vector():
-            return c.sigma == 0
-        if f not in self.finite.members:
-            return False
-        return c.sigma in self.sigma_options.get(f, (0,))
+            return None
+        return self.line_index.get((c.coords, c.sigma))
+
+    def _member_entry(self, r: Root) -> LineEntry:
+        e = self.entry(r)
+        if e is None:
+            raise NotARoot(f"{r} is not a member of {self.token}")
+        return e
+
+    def contains(self, r: Root) -> bool:
+        return self.entry(r) is not None
 
     def __contains__(self, r: Root) -> bool:
         return self.contains(r)
 
     def classify(self, r: Root) -> str:
-        if not self.contains(r):
-            raise NotARoot(f"{r} is not a member of {self.token}")
-        c = self.canonicalize(r)
-        kind = self.finite.kind(c.finite())
-        if kind == KIND_ZERO:
-            # a member on the zero line has sigma 0: it is 0 or a multiple of delta
-            return KIND_ZERO if c.k == 0 else KIND_IMAGINARY
-        if kind == KIND_IMAGINARY and c.k == 0 and c.sigma == 0:
-            return KIND_ZERO
-        return kind
+        return self._member_entry(r).kind_at(r.k)
 
     def parity(self, r: Root) -> str:
-        if not self.contains(r):
-            raise NotARoot(f"{r} is not a member of {self.token}")
-        c = self.canonicalize(r)
-        f = Root(c.coords)
-        if f.is_zero_vector():
-            return EVEN
-        return self.finite.parity(f)
+        return self._member_entry(r).parity
 
     # -- structure ----------------------------------------------------------
 
@@ -120,11 +148,10 @@ class AffineRootSystem:
         Returns (rep, +1) when the finite part equals rep, (rep, -1) when
         it equals -rep.  Raises NotRealRoot on anything non-real.
         """
-        if self.classify(r) != KIND_REAL:
+        e = self._member_entry(r)
+        if e.kind_at(r.k) != KIND_REAL:
             raise NotRealRoot(f"{r} is not a real member")
-        f = Root(self.canonicalize(r).coords)
-        rep = min(f, -f, key=lambda x: x.key())
-        return rep, (1 if f == rep else -1)
+        return e.real_class
 
     @cached_property
     def lines(self) -> tuple[Root, ...]:
@@ -135,12 +162,26 @@ class AffineRootSystem:
                 out.append(Root(f.coords, 0, s))
         return tuple(sorted(out, key=lambda r: r.key()))
 
-    def window(self, kmax: int) -> tuple[Root, ...]:
-        out = []
+    @cached_property
+    def _coord_groups(self) -> tuple:
+        """The lines grouped by coords, in key order: (coords, ((sigma, entry), ...))."""
+        groups: dict = {}
         for line in self.lines:
+            groups.setdefault(line.coords, []).append(
+                (line.sigma, self.line_index[line.coords, line.sigma])
+            )
+        return tuple((coords, tuple(sigmas)) for coords, sigmas in groups.items())
+
+    def window_entries(self, kmax: int):
+        """Each root with |k| <= kmax and its line's entry, in ``Root.key()``
+        order: lines that share coords interleave by k, then by sigma."""
+        for coords, sigmas in self._coord_groups:
             for k in range(-kmax, kmax + 1):
-                out.append(Root(line.coords, k, line.sigma))
-        return tuple(sorted(out, key=lambda r: r.key()))
+                for sigma, entry in sigmas:
+                    yield Root(coords, k, sigma), entry
+
+    def window(self, kmax: int) -> tuple[Root, ...]:
+        return tuple(r for r, _ in self.window_entries(kmax))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -179,14 +220,20 @@ class AffineRootSystem:
 
     def export(self, kmax: int) -> dict:
         roots = []
-        for r in self.window(kmax):
+        rendered: dict[int, dict[str, str]] = {}  # coordinate strings per line position
+        for r, e in self.window_entries(kmax):
+            coords = rendered.get(e.pos)
+            if coords is None:
+                coords = rendered[e.pos] = {
+                    s: str(c) for s, c in self.basis.coords_dict(r).items()
+                }
             roots.append(
                 {
-                    "coords": {s: str(c) for s, c in self.basis.coords_dict(r).items()},
+                    "coords": dict(coords),
                     "k": r.k,
                     "sigma": r.sigma,
-                    "kind": self.classify(r),
-                    "parity": self.parity(r),
+                    "kind": e.kind_at(r.k),
+                    "parity": e.parity,
                 }
             )
         return {

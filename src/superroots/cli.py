@@ -133,9 +133,9 @@ def _cmd_build(parser, args) -> int:
     kmax = args.window
     counts = {"zero": 0, "imaginary": 0, "real": 0, "nonsingular": 0}
     parity = {"even": 0, "odd": 0}
-    for r in system.window(kmax):
-        counts[system.classify(r)] += 1
-        parity[system.parity(r)] += 1
+    for r, e in system.window_entries(kmax):
+        counts[e.kind_at(r.k)] += 1
+        parity[e.parity] += 1
     lines = [
         f"system: {system.token}",
         f"lambda mode: {system.lambda_mode}",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cache
 
 from .affine import AffineRootSystem
 from .errors import NotAShadowPattern
@@ -228,40 +227,55 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
     before ``sum2``.
     """
     system = shadow.system
-    fmt = cache(system.format)  # window roots recur across violations
+    names: dict[tuple[int, int], str] = {}  # window roots recur across violations
+
+    def fmt(pos: int, k: int) -> str:
+        """The rendering of level k on the line at ``pos`` in ``system.lines``."""
+        name = names.get((pos, k))
+        if name is None:
+            line = system.lines[pos]
+            name = names[pos, k] = system.format(Root(line.coords, k, line.sigma))
+        return name
+
+    def real_pos(t: Root) -> int | None:
+        """The line position of a real member at level 0, else None."""
+        e = system.entry(t)
+        return e.pos if e is not None and e.kind0 == KIND_REAL else None
+
     window = range(-kmax, kmax + 1)
-    lines = []  # (real finite vector, its ln levels in the window)
+    lines = []  # (real finite vector, its line position, its ln levels in the window)
     for rep in system.real_class_reps:
         if class_filter is not None and rep not in class_filter:
             continue
         for f in (rep, -rep):
             ln = shadow.ln_levels(f)
-            lines.append((f, [k for k in window if k in ln]))
+            lines.append((f, system.entry(f).pos, [k for k in window if k in ln]))
     rows = []
-    for fa, ka in lines:
+    for fa, _, ka in lines:
         row = []
-        for fb, kb in lines:
+        for fb, pb, kb in lines:
             if not ka or not kb:
                 continue
             laws = []
             for law, m, t in (("sum", 1, fa + fb), ("sum2", 2, fa + fb.scale(Q(2)))):
-                if not system.contains(t) or system.classify(t) != KIND_REAL:
+                pt = real_pos(t)
+                if pt is None:
                     continue
                 ln_t = shadow.ln_levels(t)
                 sums = range(ka[0] + m * kb[0], ka[-1] + m * kb[-1] + 1)
                 missed = {k for k in sums if k not in ln_t}
                 if missed:
-                    laws.append((law, m, t, missed))
+                    laws.append((law, m, t, pt, missed))
             if laws:
-                row.append((fb, kb, laws))
+                row.append((fb, pb, kb, laws))
         rows.append(row)
     violations: list[Violation] = []
-    for (fa, ka), row in zip(lines, rows):
+    for (fa, pa, ka), row in zip(lines, rows):
         for i in ka:
             alpha = Root(fa.coords, i, fa.sigma)
-            for fb, kb, laws in row:
+            for fb, pb, kb, laws in row:
                 for j in kb:
-                    for law, m, t, missed in laws:
+                    for law, m, t, pt, missed in laws:
                         if i + m * j not in missed:
                             continue
                         beta = Root(fb.coords, j, fb.sigma)
@@ -272,7 +286,7 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
                                 alpha,
                                 beta,
                                 target,
-                                f"{fmt(alpha)} , {fmt(beta)} are ln but {fmt(target)} is in",
+                                f"{fmt(pa, i)} , {fmt(pb, j)} are ln but {fmt(pt, i + m * j)} is in",
                             )
                         )
     # scale consistency between the f and 2f lines
@@ -280,10 +294,11 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
         if class_filter is not None and rep not in class_filter:
             continue
         doubled = rep.scale(Q(2))
-        if not system.contains(doubled) or system.classify(doubled) != KIND_REAL:
+        if real_pos(doubled) is None:
             continue
         for f, f2 in ((rep, doubled), (-rep, -doubled)):
             ln, ln2 = shadow.ln_levels(f), shadow.ln_levels(f2)
+            p, p2 = system.entry(f).pos, system.entry(f2).pos
             for k in window:
                 if (k in ln) != (2 * k in ln2):
                     a = Root(f.coords, k, f.sigma)
@@ -294,7 +309,7 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
                             a,
                             None,
                             b,
-                            f"{fmt(a)} and {fmt(b)} disagree",
+                            f"{fmt(p, k)} and {fmt(p2, 2 * k)} disagree",
                         )
                     )
     return ShadowReport(tuple(violations))

@@ -269,19 +269,27 @@ def classification_report(system, kmax: int) -> list[str]:
         problems.append(f"missing line {system.format(missing)}")
     if problems:
         return problems
-    for r in system.window(kmax):
-        line = Root(r.coords, 0, r.sigma)
+    # each line's entry against the tables, once per line
+    wanted = {}  # position of a mismatching line -> (kind at k = 0, at k != 0, parity)
+    for line in system.lines:
         if line == zero_line:
-            want_kind = KIND_ZERO if r.k == 0 else KIND_IMAGINARY
-            want_parity = EVEN
-        elif line in golden.real:
-            want_kind, want_parity = KIND_REAL, (EVEN if line in golden.even else ODD)
+            want = (KIND_ZERO, KIND_IMAGINARY, EVEN)
         else:
-            want_kind, want_parity = KIND_NONSINGULAR, (EVEN if line in golden.even else ODD)
-        got_kind = system.classify(r)
-        got_parity = system.parity(r)
+            kind = KIND_REAL if line in golden.real else KIND_NONSINGULAR
+            want = (kind, kind, EVEN if line in golden.even else ODD)
+        e = system.line_index[line.coords, line.sigma]
+        if (e.kind0, e.kind, e.parity) != want:
+            wanted[e.pos] = want
+    if not wanted:
+        return problems
+    # the window is walked only to name the roots of mismatching lines
+    for r, e in system.window_entries(kmax):
+        want = wanted.get(e.pos)
+        if want is None:
+            continue
+        got_kind, want_kind = e.kind_at(r.k), want[0] if r.k == 0 else want[1]
         if got_kind != want_kind:
             problems.append(f"{system.format(r)}: kind {got_kind} != {want_kind}")
-        if got_parity != want_parity:
-            problems.append(f"{system.format(r)}: parity {got_parity} != {want_parity}")
+        if e.parity != want[2]:
+            problems.append(f"{system.format(r)}: parity {e.parity} != {want[2]}")
     return problems

@@ -8,6 +8,8 @@ import pytest
 
 from superroots import (
     EVEN,
+    AffineRootSystem,
+    FiniteRootSet,
     KIND_IMAGINARY,
     KIND_NONSINGULAR,
     KIND_REAL,
@@ -18,9 +20,11 @@ from superroots import (
     RankError,
     Root,
     build_affine,
+    classification_report,
     parse_type_token,
     root,
 )
+from superroots.cli import main
 
 
 def aff(token: str, lam=None):
@@ -235,6 +239,48 @@ def test_export_shape():
     assert set(entry) == {"coords", "k", "sigma", "kind", "parity"}
     # deterministic double export
     assert s.export(1) == data
+
+
+def test_export_gives_each_root_its_own_coords():
+    data = aff("A,1,1").export(1)
+    first, second = data["roots"][0], data["roots"][1]
+    assert first["coords"] == second["coords"] and first["coords"] is not second["coords"]
+    first["coords"]["e1"] = "7"
+    assert second["coords"]["e1"] != "7"
+
+
+@pytest.mark.parametrize("token", ["A,1,1", "B,2,1", "F4"])
+def test_window_reports_classify_each_line_once(token, monkeypatch, capsys):
+    # the reports read one entry per line, so the finite kinds and affine
+    # classifications they ask for do not grow with the window
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FiniteRootSet, "kind", counted(FiniteRootSet.kind))
+    monkeypatch.setattr(AffineRootSystem, "classify", counted(AffineRootSystem.classify))
+
+    def counts(kmax):
+        out = []
+        for report in (
+            lambda: classification_report(aff(token), kmax),
+            lambda: aff(token).export(kmax),
+            lambda: main(["build", "--type", token, "--window", str(kmax)]),
+        ):
+            calls.clear()
+            report()
+            out.append((calls.count("kind"), calls.count("classify")))
+        return out
+
+    small, large = counts(2), counts(10)
+    assert small == large
+    lines = len(aff(token).lines)
+    assert all(kinds <= lines and classified == 0 for kinds, classified in small)
+    capsys.readouterr()
 
 
 def test_format():

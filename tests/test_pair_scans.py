@@ -42,9 +42,10 @@ from superroots import (
     tight_class,
     validate_shadow,
 )
-from superroots.errors import BasisMismatch, NotARoot, SuperrootsError
+from superroots.errors import BasisMismatch, NotARoot, NotRealRoot, SuperrootsError
 from superroots.linalg import det
 from superroots.roots import (
+    EVEN,
     KIND_IMAGINARY,
     KIND_NONSINGULAR,
     KIND_REAL,
@@ -200,6 +201,49 @@ def scanned_kind(rs: FiniteRootSet, r: Root) -> str:
     if all(rs.basis.form(r, s).is_zero() for s in rs.roots):
         return KIND_IMAGINARY
     return KIND_NONSINGULAR if rs.basis.form(r, r).is_zero() else KIND_REAL
+
+
+def scanned_contains(sys_, r: Root) -> bool:
+    """Root-by-root membership: canonicalise, then look the finite part up."""
+    try:
+        c = sys_.canonicalize(r)
+    except NotARoot:
+        return False
+    f = Root(c.coords)
+    if f.is_zero_vector():
+        return c.sigma == 0
+    if f not in sys_.finite.members:
+        return False
+    return c.sigma in sys_.sigma_options.get(f, (0,))
+
+
+def scanned_classify(sys_, r: Root) -> str:
+    if not scanned_contains(sys_, r):
+        raise NotARoot(f"{r} is not a member of {sys_.token}")
+    c = sys_.canonicalize(r)
+    kind = sys_.finite.kind(c.finite())
+    if kind == KIND_ZERO:
+        return KIND_ZERO if c.k == 0 else KIND_IMAGINARY
+    if kind == KIND_IMAGINARY and c.k == 0 and c.sigma == 0:
+        return KIND_ZERO
+    return kind
+
+
+def scanned_parity(sys_, r: Root) -> str:
+    if not scanned_contains(sys_, r):
+        raise NotARoot(f"{r} is not a member of {sys_.token}")
+    f = Root(sys_.canonicalize(r).coords)
+    if f.is_zero_vector():
+        return EVEN
+    return sys_.finite.parity(f)
+
+
+def scanned_class_rep(sys_, r: Root) -> tuple[Root, int]:
+    if scanned_classify(sys_, r) != KIND_REAL:
+        raise NotRealRoot(f"{r} is not a real member")
+    f = Root(sys_.canonicalize(r).coords)
+    rep = min(f, -f, key=lambda x: x.key())
+    return rep, (1 if f == rep else -1)
 
 
 def scanned_axiom_e(rs: FiniteRootSet) -> str:
@@ -704,3 +748,91 @@ def test_verify_zeta_raises_like_the_windowed_scan_off_the_system():
             verify(result, with_stray, 3, shadow=shadow)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
+
+
+# -- the affine line index ----------------------------------------------------------------
+
+#: every affine family; A,1,1's odd lines carry sigma of both signs, A,2,2's one
+LINE_INDEX_CASES = [
+    ("A,2,1", None), ("A,1,1", None), ("A,2,2", None), ("B,1,1", None), ("B,2,1", None),
+    ("C,3", None), ("D,1,1", None), ("D,2,1", None), ("F4", None), ("G3", None),
+    ("D21L", None), ("D21L", Q(1, 2)),
+]
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type and message of the error it raised."""
+    try:
+        return "value", fn(*args)
+    except SuperrootsError as exc:
+        return type(exc), str(exc)
+
+
+def line_index_probes(sys_) -> list[Root]:
+    """Window roots, block-shifted copies of them on equal-block types, and
+    non-members: wrong dimensions, a vector off every line, and sigmas that
+    no line, or not that line, allows."""
+    window = list(sys_.window(2))
+    dim = sys_.basis.dim
+    zero = (Q(0),) * dim
+    probes = window + [
+        Root(zero[:-1]),
+        Root(zero + (Q(0),), 1),
+        Root(window[0].coords[1:], 0, window[0].sigma),
+        Root((Q(1, 3),) + zero[1:], 2),
+        Root(zero, 0, 1),
+        Root(zero, -3, -1),
+    ]
+    allowed = {(line.coords, line.sigma) for line in sys_.lines}
+    for line in sys_.lines:
+        for sigma in (-2, -1, 0, 1, 2):
+            if (line.coords, sigma) not in allowed:
+                probes += [Root(line.coords, 0, sigma), Root(line.coords, 1, sigma)]
+    if sys_.type_id.family == "ANN":
+        half = dim // 2
+        for r in window:
+            shifted = tuple(c + 1 for c in r.coords[:half]) + r.coords[half:]
+            probes.append(Root(shifted, r.k, r.sigma))
+    return probes
+
+
+@pytest.mark.parametrize("token,lam", LINE_INDEX_CASES, ids=[
+    token if lam is None else f"{token}@{lam}" for token, lam in LINE_INDEX_CASES
+])
+def test_line_index_matches_root_by_root_logic(token, lam):
+    sys_ = build_affine(parse_type_token(token), lam)
+    probes = line_index_probes(sys_)
+    members = 0
+    for r in probes:
+        assert sys_.contains(r) == scanned_contains(sys_, r), r
+        members += sys_.contains(r)
+        for method, ref in (
+            (sys_.classify, scanned_classify),
+            (sys_.parity, scanned_parity),
+            (sys_.class_rep, scanned_class_rep),
+        ):
+            assert outcome(method, r) == outcome(ref, sys_, r), (method.__name__, r)
+    # the probes reach members and non-members, real and not
+    assert 0 < members < len(probes)
+    kinds = {outcome(sys_.class_rep, r)[0] for r in probes}
+    assert kinds == {"value", NotARoot, NotRealRoot}
+    # the window generator yields the window in key order, with each root's own entry
+    pairs = list(sys_.window_entries(3))
+    assert [r for r, _ in pairs] == sorted((r for r, _ in pairs), key=lambda r: r.key())
+    assert len(pairs) == 7 * len(sys_.lines)
+    for r, e in pairs:
+        assert e == sys_.entry(r)
+        assert (e.kind_at(r.k), e.parity) == (scanned_classify(sys_, r), scanned_parity(sys_, r))
+
+
+def test_line_index_sigma_of_both_signs():
+    sys_ = build_affine(parse_type_token("A,1,1"))
+    both = [
+        line for line in sys_.lines
+        if line.sigma and Root(line.coords, 0, -line.sigma) in sys_.lines
+    ]
+    assert {line.sigma for line in both} == {-1, 1}
+    for line in both:
+        for k in (-1, 0, 2):
+            r = Root(line.coords, k, line.sigma)
+            assert sys_.classify(r) == scanned_classify(sys_, r) == KIND_NONSINGULAR

@@ -28,33 +28,23 @@ def test_runtime_matches_golden_tables(token):
 
 
 def test_report_flags_planted_mismatch():
-    """Sanity check that the comparator can actually fail."""
+    """Sanity check that the comparator can actually fail, and that it names
+    every window root of the offending line, kind before parity."""
     system = build_affine(parse_type_token("B,1,1"))
-
-    class Tampered:
-        def __init__(self, inner):
-            self._inner = inner
-            self.type_id = inner.type_id
-            self.zero_root = inner.zero_root
-            self.lines = inner.lines
-
-        def window(self, kmax):
-            return self._inner.window(kmax)
-
-        def format(self, r):
-            return self._inner.format(r)
-
-        def classify(self, r):
-            return self._inner.classify(r)
-
-        def parity(self, r):
-            good = self._inner.parity(r)
-            if r == root(0, 1):
-                return "even"
-            return good
-
-    problems = classification_report(Tampered(system), 2)
-    assert problems == ["d1: parity even != odd"]
+    d1 = root(0, 1)
+    key = (d1.coords, 0)
+    assert system.line_index[key].parity == "odd"
+    # plant the mismatch in the line's entry: its parity everywhere, its kind at k = 0
+    system.line_index[key] = system.line_index[key]._replace(parity="even", kind0="nonsingular")
+    problems = classification_report(system, 2)
+    assert problems == [
+        "d1-2d: parity even != odd",
+        "d1-d: parity even != odd",
+        "d1: kind nonsingular != real",
+        "d1: parity even != odd",
+        "d1+d: parity even != odd",
+        "d1+2d: parity even != odd",
+    ]
 
 
 def test_golden_sets_partition_lines():
