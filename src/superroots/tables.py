@@ -270,15 +270,16 @@ def classification_report(system, kmax: int) -> list[str]:
     if problems:
         return problems
     # each line's entry against the tables, once per line
-    wanted = {}  # position of a mismatching line -> (kind at k = 0, at k != 0, parity)
+    wanted = {}  # position of a mismatching line -> the entry the tables give it
     for line in system.lines:
         if line == zero_line:
-            want = (KIND_ZERO, KIND_IMAGINARY, EVEN)
+            kind0, kind, parity = KIND_ZERO, KIND_IMAGINARY, EVEN
         else:
-            kind = KIND_REAL if line in golden.real else KIND_NONSINGULAR
-            want = (kind, kind, EVEN if line in golden.even else ODD)
+            kind0 = kind = KIND_REAL if line in golden.real else KIND_NONSINGULAR
+            parity = EVEN if line in golden.even else ODD
         e = system.line_index[line.coords, line.sigma]
-        if (e.kind0, e.kind, e.parity) != want:
+        want = e._replace(kind0=kind0, kind=kind, parity=parity)
+        if want != e:
             wanted[e.pos] = want
     if not wanted:
         return problems
@@ -287,9 +288,9 @@ def classification_report(system, kmax: int) -> list[str]:
         want = wanted.get(e.pos)
         if want is None:
             continue
-        got_kind, want_kind = e.kind_at(r.k), want[0] if r.k == 0 else want[1]
+        got_kind, want_kind = e.kind_at(r.k), want.kind_at(r.k)
         if got_kind != want_kind:
             problems.append(f"{system.format(r)}: kind {got_kind} != {want_kind}")
-        if e.parity != want[2]:
-            problems.append(f"{system.format(r)}: parity {e.parity} != {want[2]}")
+        if e.parity != want.parity:
+            problems.append(f"{system.format(r)}: parity {e.parity} != {want.parity}")
     return problems
