@@ -4,7 +4,9 @@
 ``validate_shadow`` and ``root_string`` decide each pair of roots from the
 pair's lines and a few integer levels; ``verify_zeta`` decides each line
 from the functional's exact level sets on it; kinds, the axioms and
-``irreducible_components`` read a finite set's integer pairing table.  The
+``irreducible_components`` read a finite set's integer pairing table; an
+affine system's ``contains``, ``classify``, ``parity`` and ``class_rep``
+read its line index.  The
 reference functions below are the plain windowed scans that enumerate every
 window root or pair of window roots, and pair finite roots with
 ``basis.form`` one pair at a time; the exact versions must return the same
