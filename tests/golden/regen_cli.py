@@ -4,15 +4,17 @@ Usage, from the repository root::
 
     PYTHONPATH=src python3 tests/golden/regen_cli.py
 
-Each call in ``CALLS`` runs ``superroots.cli.main`` in-process; its exit
-code and everything it prints to stdout are written to ``cli_outputs.json``
-beside this script.  Run it only on a commit whose outputs are known good:
+Each call in ``calls()`` runs ``superroots.cli.main`` in-process, from this
+directory so that ``--config`` names the shadow fixtures beside this script;
+its exit code and everything it prints to stdout are written to
+``cli_outputs.json`` beside it too.  Run it only on a commit whose outputs are known good:
 the test then fails on any later change that alters a single byte of them.
 """
 from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -28,6 +30,10 @@ AFFINE_TYPES = ("A,2,1", "A,1,1", "B,1,1", "C,3", "D,2,1", "F4", "G3", "D21L")
 FINITE_TYPES = ("A,2,1", "A,1,1", "B,1,1", "C,3", "C,1,1", "D,2,1", "BC,1,1", "S,2", "F4", "G3", "D21L")
 #: the nine types whose windowed classification the stored tables check
 TABULATED_TYPES = ("A,2,1", "A,1,1", "B,1,1", "B,2,1", "C,2", "D,2,1", "D21L", "F4", "G3")
+#: per-class shadow fixtures mixing up, down and tight classes: G3 and A,2,2
+#: violate the sum laws (A,2,2 on its sigma type); no admissible colouring of
+#: A,1,1's two orthogonal classes violates them
+SHADOW_CONFIGS = (("G3", "shadow_g3.json"), ("A,2,2", "shadow_a22.json"), ("A,1,1", "shadow_a11.json"))
 
 
 def calls() -> list[list[str]]:
@@ -48,6 +54,10 @@ def calls() -> list[list[str]]:
         ["tables", "--type", "G3", "--window", "6"],
         ["shadow-validate", "--type", "B,1,1", "--window", "4", "--uniform", "up,0,1"],
     ]
+    out += [
+        ["shadow-validate", "--type", t, "--window", "2", "--config", name]
+        for t, name in SHADOW_CONFIGS
+    ]
     return out
 
 
@@ -59,6 +69,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 if __name__ == "__main__":
+    os.chdir(HERE)
     cases = []
     for argv in calls():
         code, stdout = run(argv)

@@ -5,8 +5,10 @@ the whole stdout of ``superroots.cli.main``; ``golden/regen_cli.py`` lists
 the calls and rewrites the file.  The calls cover every ``zeta`` scenario,
 ``axioms`` on each finite family, ``decompose``, ``build`` and ``export``
 on each affine family (both lambda modes of D21L), ``tables``, ``classify``
-on the nine tabulated types, wider ``build``/``export``/``tables`` windows
-and one ``shadow-validate``.
+on the nine tabulated types, wider ``build``/``export``/``tables`` windows,
+one uniform ``shadow-validate`` and three ``shadow-validate --config`` calls
+on the fixtures in ``golden/``, two of them violating.  Every call runs from
+``golden/``, as the script records them.
 """
 from __future__ import annotations
 
@@ -17,13 +19,13 @@ import pytest
 
 from superroots.cli import main
 
-CASES = json.loads(
-    (Path(__file__).parent / "golden" / "cli_outputs.json").read_text(encoding="utf-8")
-)
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cli_outputs.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
-def test_cli_output_matches_golden(case, capsys):
+def test_cli_output_matches_golden(case, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
     code = main(list(case["argv"]))
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
