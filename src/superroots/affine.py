@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 from .errors import NotARoot, NotRealRoot, RankError
@@ -161,6 +162,62 @@ class AffineRootSystem:
             for s in sorted(self.sigma_options.get(f, (0,))):
                 out.append(Root(f.coords, 0, s))
         return tuple(sorted(out, key=lambda r: r.key()))
+
+    @cached_property
+    def line_entries(self) -> tuple[LineEntry, ...]:
+        """Each line's entry, by its position in ``lines``."""
+        return tuple(self.line_index.values())
+
+    @cached_property
+    def line_positions(self) -> dict[Root, int]:
+        """The position in ``lines`` of each line."""
+        return {line: pos for pos, line in enumerate(self.lines)}
+
+    @cached_property
+    def real_class_lines(self) -> tuple[tuple[Root, int, int], ...]:
+        """(rep, position of rep's line, position of -rep's line) per real
+        class, in ``real_class_reps`` order."""
+        sides: dict = {}
+        for e in self.line_entries:
+            if e.real_class is not None:
+                rep, side = e.real_class
+                sides.setdefault(rep, {})[side] = e.pos
+        return tuple((rep, sides[rep][1], sides[rep][-1]) for rep in self.real_class_reps)
+
+    @cached_property
+    def _line_keys(self) -> tuple[tuple[tuple[int, ...], ...], dict]:
+        """Each line as its coords times one common denominator, sigma last,
+        and the position each such tuple names."""
+        den = lcm(*(c.denominator for line in self.lines for c in line.coords))
+        keys = tuple(
+            tuple(c.numerator * (den // c.denominator) for c in line.coords) + (line.sigma,)
+            for line in self.lines
+        )
+        return keys, {key: pos for pos, key in enumerate(keys)}
+
+    @cached_property
+    def _line_sums(self) -> dict[tuple[int, int, int], int | None]:
+        """``line_sum``'s memo, filled one (a, b, m) at a time."""
+        return {}
+
+    def line_sum(self, a: int, b: int, m: int = 1) -> int | None:
+        """The position of the line holding f_a + m*f_b (sigmas added), or
+        None when that sum lies on no line.
+
+        Lines hold canonical coords, and ANN's block projection is linear, so
+        the sum of two lines is already canonical: it is added in integers and
+        looked up as it is.  Each (a, b, m) is added once, on first use; an
+        eager table over every pair would cost more than a whole pair scan on
+        a freshly built system.
+        """
+        memo = self._line_sums
+        pos = memo.get((a, b, m), -1)
+        if pos == -1:
+            keys, positions = self._line_keys
+            pos = memo[a, b, m] = positions.get(
+                tuple(x + m * y for x, y in zip(keys[a], keys[b]))
+            )
+        return pos
 
     @cached_property
     def _coord_groups(self) -> tuple:

@@ -17,6 +17,7 @@ Exit codes: 0 = success / all checks pass, 1 = violations found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -375,7 +376,10 @@ def _cmd_export(parser, args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every ``main`` call reads: its ``prog`` is fixed and no
+    action has a mutable default, so parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="superroots",
         description="Exact root systems of untwisted affine Lie superalgebras.",

@@ -179,12 +179,16 @@ class Shadow:
             )
         return Shadow(system, table)
 
-    def class_of(self, r: Root) -> tuple[ClassShadow, int]:
-        rep, side = self.system.class_rep(r)
+    def colouring(self, rep: Root) -> ClassShadow:
+        """The colouring of the class with canonical representative ``rep``."""
         cs = self.classes.get(rep)
         if cs is None:
             raise NotAShadowPattern(f"class of {self.system.format(rep)} has no colouring")
-        return cs, side
+        return cs
+
+    def class_of(self, r: Root) -> tuple[ClassShadow, int]:
+        rep, side = self.system.class_rep(r)
+        return self.colouring(rep), side
 
     def is_ln(self, r: Root) -> bool:
         cs, side = self.class_of(r)
@@ -221,13 +225,17 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
 
     Whether alpha + beta (law ``sum``) or alpha + 2*beta (law ``sum2``) is
     real, and which levels of its line are ln, depend only on the lines of
-    alpha and beta.  So each pair of lines is looked up once, and only the
-    ln levels inside |k| <= kmax are enumerated.  Violations come out in the
-    order of a scan over window pairs: alpha outer, beta inner, ``sum``
-    before ``sum2``.
+    alpha and beta.  So each pair of real lines is added once, by position
+    (``AffineRootSystem.line_sum``), and only the ln levels inside
+    |k| <= kmax are enumerated.  Every side is a ray shape, so a pair's
+    level sums miss the target's ln levels somewhere exactly when they miss
+    them at an end of their range.  Violations come out in the order of a
+    scan over window pairs: alpha outer, beta inner, ``sum`` before ``sum2``.
     """
     system = shadow.system
+    entries = system.line_entries
     names: dict[tuple[int, int], str] = {}  # window roots recur across violations
+    ln_at: dict[int, IntegerSet] = {}  # ln levels per real line position
 
     def fmt(pos: int, k: int) -> str:
         """The rendering of level k on the line at ``pos`` in ``system.lines``."""
@@ -237,78 +245,78 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
             name = names[pos, k] = system.format(Root(line.coords, k, line.sigma))
         return name
 
-    def real_pos(t: Root) -> int | None:
-        """The line position of a real member at level 0, else None."""
-        e = system.entry(t)
-        return e.pos if e is not None and e.kind0 == KIND_REAL else None
+    def ln(pos: int) -> IntegerSet:
+        """The ln levels of the real line at ``pos``, resolved on first use."""
+        got = ln_at.get(pos)
+        if got is None:
+            rep, side = entries[pos].real_class
+            got = ln_at[pos] = shadow.colouring(rep).ln_set(side)
+        return got
+
+    def root_at(pos: int, k: int) -> Root:
+        line = system.lines[pos]
+        return Root(line.coords, k, line.sigma)
 
     window = range(-kmax, kmax + 1)
-    lines = []  # (real finite vector, its line position, its ln levels in the window)
-    for rep in system.real_class_reps:
-        if class_filter is not None and rep not in class_filter:
-            continue
-        for f in (rep, -rep):
-            ln = shadow.ln_levels(f)
-            lines.append((f, system.entry(f).pos, [k for k in window if k in ln]))
+    classes = [
+        (p, q) for rep, p, q in system.real_class_lines
+        if class_filter is None or rep in class_filter
+    ]
+    lines = []  # (real line position, its ln levels in the window)
+    for pair in classes:
+        for pos in pair:
+            lines.append((pos, [k for k in window if k in ln(pos)]))
     rows = []
-    for fa, _, ka in lines:
+    for pa, ka in lines:
         row = []
-        for fb, pb, kb in lines:
+        for pb, kb in lines:
             if not ka or not kb:
                 continue
             laws = []
-            for law, m, t in (("sum", 1, fa + fb), ("sum2", 2, fa + fb.scale(Q(2)))):
-                pt = real_pos(t)
-                if pt is None:
+            for law, m in (("sum", 1), ("sum2", 2)):
+                pt = system.line_sum(pa, pb, m)
+                if pt is None or entries[pt].kind0 != KIND_REAL:
                     continue
-                ln_t = shadow.ln_levels(t)
-                sums = range(ka[0] + m * kb[0], ka[-1] + m * kb[-1] + 1)
-                missed = {k for k in sums if k not in ln_t}
-                if missed:
-                    laws.append((law, m, t, pt, missed))
+                ln_t = ln(pt)
+                if ka[0] + m * kb[0] not in ln_t or ka[-1] + m * kb[-1] not in ln_t:
+                    laws.append((law, m, pt, ln_t))
             if laws:
-                row.append((fb, pb, kb, laws))
+                row.append((pb, kb, laws))
         rows.append(row)
     violations: list[Violation] = []
-    for (fa, pa, ka), row in zip(lines, rows):
+    for (pa, ka), row in zip(lines, rows):
         for i in ka:
-            alpha = Root(fa.coords, i, fa.sigma)
-            for fb, pb, kb, laws in row:
+            alpha = root_at(pa, i)
+            for pb, kb, laws in row:
                 for j in kb:
-                    for law, m, t, pt, missed in laws:
-                        if i + m * j not in missed:
+                    for law, m, pt, ln_t in laws:
+                        if i + m * j in ln_t:
                             continue
-                        beta = Root(fb.coords, j, fb.sigma)
-                        target = Root(t.coords, i + m * j, t.sigma)
                         violations.append(
                             Violation(
                                 law,
                                 alpha,
-                                beta,
-                                target,
+                                root_at(pb, j),
+                                root_at(pt, i + m * j),
                                 f"{fmt(pa, i)} , {fmt(pb, j)} are ln but {fmt(pt, i + m * j)} is in",
                             )
                         )
     # scale consistency between the f and 2f lines
-    for rep in system.real_class_reps:
-        if class_filter is not None and rep not in class_filter:
+    zero = system.line_positions[system.zero_root]
+    for pair in classes:
+        doubled = [system.line_sum(zero, p, 2) for p in pair]
+        if doubled[0] is None or entries[doubled[0]].kind0 != KIND_REAL:
             continue
-        doubled = rep.scale(Q(2))
-        if real_pos(doubled) is None:
-            continue
-        for f, f2 in ((rep, doubled), (-rep, -doubled)):
-            ln, ln2 = shadow.ln_levels(f), shadow.ln_levels(f2)
-            p, p2 = system.entry(f).pos, system.entry(f2).pos
+        for p, p2 in zip(pair, doubled):
+            ln1, ln2 = ln(p), ln(p2)
             for k in window:
-                if (k in ln) != (2 * k in ln2):
-                    a = Root(f.coords, k, f.sigma)
-                    b = Root(f2.coords, 2 * k, f2.sigma)
+                if (k in ln1) != (2 * k in ln2):
                     violations.append(
                         Violation(
                             "scale",
-                            a,
+                            root_at(p, k),
                             None,
-                            b,
+                            root_at(p2, 2 * k),
                             f"{fmt(p, k)} and {fmt(p2, 2 * k)} disagree",
                         )
                     )

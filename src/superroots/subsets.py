@@ -42,10 +42,8 @@ class RootSubset:
 
     def levels_through(self, r: Root) -> IntegerSet:
         """The levels on the line through ``r``; empty off the system."""
-        if not self.system.contains(r):
-            return IntegerSet.empty()
-        c = self.system.canonicalize(r)
-        return self.levels(Root(c.coords, 0, c.sigma))
+        e = self.system.entry(r)
+        return IntegerSet.empty() if e is None else self.levels(self.system.lines[e.pos])
 
     def contains(self, r: Root) -> bool:
         return r.k in self.levels_through(r)
@@ -98,6 +96,12 @@ class RootSubset:
         return RootSubset.of(self.system, keep)
 
 
+def _by_position(sub: RootSubset) -> dict[int, IntegerSet]:
+    """The level sets of ``sub``'s lines that are system lines, by position."""
+    where = sub.system.line_positions
+    return {where[line]: ks for line, ks in sub.lines.items() if line in where}
+
+
 def _window_violations(
     P: RootSubset, kmax: int, S: RootSubset | None = None
 ) -> list[tuple[Root, Root, Root]]:
@@ -105,26 +109,38 @@ def _window_violations(
     S (the whole system when S is None) but not in P.
 
     Whether a + b lies in S or P depends only on the line of a + b and on
-    its level, so each pair of lines is looked up once: its target line and
-    the level sums that land in S but not in P.  Only integer levels are
-    enumerated per pair, in the order of a scan over
-    ``P.window_members(kmax)`` squared.
+    its level, so each pair of lines is added once, by position
+    (``AffineRootSystem.line_sum``): its target line and the level sums that
+    land in S but not in P.  Only integer levels are enumerated per pair, in
+    the order of a scan over ``P.window_members(kmax)`` squared.
     """
+    system = P.system
+    where = system.line_positions
     lines = sorted(P.lines, key=lambda r: r.key())
+    positions = [where.get(line) for line in lines]
     window = range(-kmax, kmax + 1)
     levels = [[k for k in window if k in P.lines[line]] for line in lines]
+    have_at = _by_position(P)
+    need_at = None if S is None else _by_position(S)
+    empty, full = IntegerSet.empty(), IntegerSet.all()
     rows = []
-    for la, ka in zip(lines, levels):
+    for la, pa, ka in zip(lines, positions, levels):
         row = []
-        for lb, kb in zip(lines, levels):
+        for lb, pb, kb in zip(lines, positions, levels):
             if not ka or not kb:
                 continue
-            t = la + lb
-            have = P.levels_through(t)
-            if S is None:
-                need = IntegerSet.all() if P.system.contains(t) else IntegerSet.empty()
+            if pa is None or pb is None:
+                # a line given off the system's list: add the roots themselves
+                t = la + lb
+                e = system.entry(t)
+                pt = None if e is None else e.pos
             else:
-                need = S.levels_through(t)
+                pt = system.line_sum(pa, pb)
+                t = None if pt is None else system.lines[pt]
+            if pt is None:
+                continue
+            have = have_at.get(pt, empty)
+            need = full if need_at is None else need_at.get(pt, empty)
             if need.is_subset(have):
                 continue
             sums = range(ka[0] + kb[0], ka[-1] + kb[-1] + 1)
@@ -346,16 +362,27 @@ def check_parabolic(P: RootSubset, S: RootSubset, kmax: int) -> ParabolicCheck:
         ks.is_ray_shape() for ks in S.lines.values()
     )
     if all_rays:
-        items = list(P.lines.items())
-        for fa, ka in items:
-            for fb, kb in items:
-                target = fa + fb
-                ks_t = S.levels(target)
-                if ks_t.is_empty():
+        where = system.line_positions
+        items = [(fa, ka, where.get(fa)) for fa, ka in P.lines.items()]
+        have_at, need_at = _by_position(P), _by_position(S)
+        # S lines off the system's list can only be met by adding the roots
+        off = len(need_at) < len(S.lines)
+        for fa, ka, pa in items:
+            for fb, kb, pb in items:
+                pt = None if pa is None or pb is None else system.line_sum(pa, pb)
+                if pt is not None:
+                    target = system.lines[pt]
+                    ks_t, have = need_at.get(pt), have_at.get(pt, IntegerSet.empty())
+                elif pa is None or pb is None or off:
+                    target = fa + fb
+                    ks_t, have = S.levels(target), P.levels(target)
+                else:
+                    continue
+                if ks_t is None or ks_t.is_empty():
                     continue
                 got = _ray_sum(ka, kb)
                 need = got.intersect(ks_t)
-                if not need.is_subset(P.levels(target)):
+                if not need.is_subset(have):
                     additive.append((fa, fb, target))
     else:
         additive = _window_violations(P, kmax, S)

@@ -296,3 +296,40 @@ def test_output_flag_writes_the_stdout_report(argv, tmp_path, capsys):
     assert rc_file == rc == 0
     assert out_file == f"wrote {target}\n"
     assert target.read_text(encoding="utf-8") == out
+
+
+# -- one parser for every call --------------------------------------------------------
+
+
+def test_main_reuses_one_parser_across_usage_errors(capsys):
+    from superroots.cli import build_parser
+
+    argvs = [
+        ["classify", "--type", "B,1,1", "--window", "2"],
+        ["shadow-validate", "--type", "B,1,1", "--window", "2", "--uniform", "up,0,1"],
+        ["zeta", "--list"],
+        ["axioms", "--type", "S,2"],
+    ]
+    bad = ["shadow-validate", "--type", "B,1,1", "--config", "x.json", "--uniform", "up,0,1"]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(argv):
+        build_parser.cache_clear()
+        return call(argv)
+
+    want = [fresh(argv) for argv in argvs]
+    want_bad = fresh(bad)
+    assert want_bad[0] == ("exit", 2) and "not allowed with argument" in want_bad[2]
+    parser = build_parser()
+    before = [call(argv) for argv in argvs]
+    assert call(bad) == want_bad
+    after = [call(argv) for argv in argvs]
+    assert before == after == want
+    assert build_parser() is parser

@@ -6,11 +6,12 @@ pair's lines and a few integer levels; ``verify_zeta`` decides each line
 from the functional's exact level sets on it; kinds, the axioms and
 ``irreducible_components`` read a finite set's integer pairing table; an
 affine system's ``contains``, ``classify``, ``parity`` and ``class_rep``
-read its line index.  The
-reference functions below are the plain windowed scans that enumerate every
-window root or pair of window roots, and pair finite roots with
-``basis.form`` one pair at a time; the exact versions must return the same
-answers in the same order, and raise the same errors.
+read its line index, and the pair scans add lines by position with
+``line_sum``.  The reference functions below are the plain windowed scans
+that enumerate every window root or pair of window roots, add lines as
+``Fraction`` roots, and pair finite roots with ``basis.form`` one pair at a
+time; the exact versions must return the same answers in the same order,
+and raise the same errors.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from superroots.roots import (
     eps_delta_basis,
 )
 from superroots.shadows import DOWN, UP, ShadowReport, Violation
-from superroots.subsets import component_parabolic
+from superroots.subsets import _ray_sum, component_parabolic
 from superroots.zeta import (
     LinearFunctional,
     ZetaComponent,
@@ -86,6 +87,20 @@ def windowed_closure_violations(P: RootSubset, kmax: int, S: RootSubset | None =
             if inside and not windowed_contains(P, s):
                 out.append((a, b, s))
     return out
+
+
+def fraction_ray_additive(P: RootSubset, S: RootSubset):
+    """``check_parabolic``'s exact ray-shape closure, adding each pair of lines as roots."""
+    out = []
+    for fa, ka in P.lines.items():
+        for fb, kb in P.lines.items():
+            target = fa + fb
+            ks_t = S.levels(target)
+            if ks_t.is_empty():
+                continue
+            if not _ray_sum(ka, kb).intersect(ks_t).is_subset(P.levels(target)):
+                out.append((fa, fb, target))
+    return tuple(out)
 
 
 def windowed_validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowReport:
@@ -498,6 +513,92 @@ def test_parabolic_fallback_on_partial_lines():
     assert check.additive_violations == tuple(windowed_closure_violations(P, 4, comp.subset))
 
 
+def random_ray_subset(sys_, rng: random.Random) -> RootSubset:
+    """Rays and whole lines only, on about two lines in three."""
+    picks = (
+        lambda: IntegerSet.all(),
+        lambda: IntegerSet.at_least(rng.randint(-2, 2)),
+        lambda: IntegerSet.at_most(rng.randint(-2, 2)),
+    )
+    return RootSubset.of(
+        sys_, {line: rng.choice(picks)() for line in sys_.lines if rng.random() < 0.6}
+    )
+
+
+def touches_sigma(triples) -> bool:
+    return any(r.sigma for triple in triples for r in triple)
+
+
+@pytest.mark.parametrize("token", ANN_TYPES + ["B,2,1"])
+def test_parabolic_matches_oracles_on_subsets_with_sigma_lines(token):
+    sys_ = system(token)
+    rng = random.Random(f"sigma parabolic {token}")
+    fallback, rays = [], []
+    for _ in range(3):
+        P, S = random_subset(sys_, rng), random_subset(sys_, rng)
+        got = check_parabolic(P, S, 3).additive_violations
+        assert got == tuple(windowed_closure_violations(P, 3, S))
+        fallback += got
+        P, S = random_ray_subset(sys_, rng), random_ray_subset(sys_, rng)
+        got = check_parabolic(P, S, 3).additive_violations
+        assert got == fraction_ray_additive(P, S)
+        rays += got
+    assert fallback and rays
+    if token in ANN_TYPES:  # the comparisons met sigma lines on both paths
+        assert touches_sigma(fallback) and touches_sigma(rays)
+
+
+def off_system_lines(sys_):
+    """(la, lb, lc): system lines whose sum la + lb lies on no line, while
+    la + lb + lc lies on one."""
+    for la in sys_.lines:
+        for lb in sys_.lines:
+            if sys_.contains(la + lb):
+                continue
+            for lc in sys_.lines:
+                if sys_.contains(la + lb + lc):
+                    return la, lb, lc
+    raise AssertionError("every sum of two lines lies on a line")
+
+
+@pytest.mark.parametrize("token", ["B,1,1", "A,1,1"])
+def test_pair_scans_on_lines_off_the_system(token):
+    """Line keys that are no system line take the root-adding path."""
+    sys_ = system(token)
+    rng = random.Random(f"off the system {token}")
+    la, lb, partner = off_system_lines(sys_)
+    stray = la + lb
+    landing = sys_.lines[sys_.entry(stray + partner).pos]
+    full = IntegerSet.all()
+    extra = {stray: full, partner: full}
+    if sys_.type_id.family == "ANN":
+        # a block-shifted, so non-canonical, key of a member line
+        half = sys_.basis.dim // 2
+        shifted = tuple(c + 1 for c in partner.coords[:half]) + partner.coords[half:]
+        extra[Root(shifted, 0, partner.sigma)] = IntegerSet.at_least(0)
+    P = RootSubset.of(sys_, {**random_subset(sys_, rng).lines, **extra})
+    S = RootSubset.of(sys_, {**random_subset(sys_, rng).lines, **extra})
+    got = P.closure_violations(2)
+    assert got == windowed_closure_violations(P, 2)
+    assert any(stray.coords in (a.coords, b.coords) for a, b, _ in got)
+    got = check_parabolic(P, S, 2).additive_violations
+    assert got == tuple(windowed_closure_violations(P, 2, S))
+    # the exact ray path: the stray keys in P, and then the stray line in S alone
+    rays = [random_ray_subset(sys_, rng).lines for _ in range(4)]
+    for P, S, witness in (
+        (
+            {**rays[0], **extra, landing: IntegerSet.empty()},
+            {**rays[1], landing: full},
+            (stray, partner, landing),
+        ),
+        ({**rays[2], la: full, lb: full}, {**rays[3], stray: full}, (la, lb, stray)),
+    ):
+        P, S = RootSubset.of(sys_, P), RootSubset.of(sys_, S)
+        got = check_parabolic(P, S, 2).additive_violations
+        assert got == fraction_ray_additive(P, S)
+        assert witness in got
+
+
 # -- shadow sum laws -------------------------------------------------------------------
 
 
@@ -838,3 +939,82 @@ def test_line_index_sigma_of_both_signs():
         for k in (-1, 0, 2):
             r = Root(line.coords, k, line.sigma)
             assert sys_.classify(r) == scanned_classify(sys_, r) == KIND_NONSINGULAR
+
+
+# -- line sums -----------------------------------------------------------------------------
+
+#: every type the pair-scan tests use: A,1,1's sigma lines take both signs,
+#: A,2,2's one; and D21L at a rational lambda
+LINE_SUM_CASES = [
+    (token, None)
+    for token in sorted(
+        set(VALIDATE_TYPES + [t for t, _ in DECOMPOSE_CELLS] + ANN_TYPES + ZETA_TYPES + ["C,2"])
+    )
+] + [("D21L", Q(1, 2))]
+
+
+@pytest.mark.parametrize("token,lam", LINE_SUM_CASES, ids=[
+    token if lam is None else f"{token}@{lam}" for token, lam in LINE_SUM_CASES
+])
+def test_line_sum_matches_fraction_sums(token, lam):
+    sys_ = build_affine(parse_type_token(token), lam)
+    lines = sys_.lines
+    hits = set()
+    for a, la in enumerate(lines):
+        for b, lb in enumerate(lines):
+            for m in (1, 2):
+                e = sys_.entry(la + lb.scale(m))
+                want = None if e is None else e.pos
+                assert sys_.line_sum(a, b, m) == want, (la, lb, m)
+                if want is not None:
+                    hits.add((m, lines[want].sigma != 0))
+    assert (1, False) in hits and (2, False) in hits
+    if sys_.type_id.family == "ANN":  # sums that land on sigma lines too
+        assert (1, True) in hits and (2, True) in hits
+    assert len(sys_._line_sums) == 2 * len(lines) ** 2
+    assert all(sys_.line_sum(a, b, m) == pos for (a, b, m), pos in list(sys_._line_sums.items()))
+
+
+def counting_root_arithmetic(monkeypatch) -> list[str]:
+    """Record every ``Root.__add__`` and ``Root.scale`` call from here on."""
+    calls: list[str] = []
+    for name in ("__add__", "scale"):
+        fn = getattr(Root, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(Root, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("token", VALIDATE_TYPES + ANN_TYPES)
+def test_pair_scans_add_no_roots(token, monkeypatch):
+    """validate_shadow, closure_violations and check_parabolic's ray path add
+    lines by position: no ``Fraction`` root is added or scaled per pair."""
+    built = system(token)
+    rng = random.Random(f"no roots {token}")
+    comps = decompose(built, even_subset(built), kmax=4).components
+    table = hybrid_assignment_shadows(built, comps, [(0, 1)] * len(comps), UP)
+    parabolics = [(component_parabolic(built, c, table, UP), c.subset) for c in comps]
+    assert all(ks.is_ray_shape() for P, _ in parabolics for ks in P.lines.values())
+    cold = [system(token) for _ in range(2)]
+    shadows = [functional_shadow(cold[0], rng), random_class_shadows(cold[1], rng)]
+    subsets = [even_subset(built), random_subset(built, rng)]
+    calls = counting_root_arithmetic(monkeypatch)
+    reports = [validate_shadow(shadow, 3) for shadow in shadows]
+    closures = [sub.closure_violations(3) for sub in subsets]
+    checks = [check_parabolic(P, S, 3) for P, S in parabolics]
+    assert calls == []
+    # each cold system added each pair of real lines at most once per law,
+    # and doubled each real line at most once
+    for sys_ in cold:
+        R = 2 * len(sys_.real_class_reps)
+        assert 0 < len(sys_._line_sums) <= 2 * R * R + R
+    # the counters do see a direct call, and the scans saw work
+    built.lines[0] + built.lines[0]
+    assert calls == ["__add__"]
+    assert reports[0].passed
+    assert closures[0] == [] and closures[1]
+    assert checks
