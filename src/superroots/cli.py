@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction as Q
@@ -423,7 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        status = args.func(parser, args)
+        sys.stdout.flush()  # a reader that left shows here at the latest
+    except BrokenPipeError:
+        # ``superroots ... | head``: Python flushes stdout again at exit, so
+        # point it at devnull to keep that flush from raising, and fail quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -170,6 +170,35 @@ class IntegerSet:
                     pts.add(k)
         return IntegerSet.make(down, up, pts)
 
+    def __add__(self, other: "IntegerSet") -> "IntegerSet":
+        """The Minkowski sum {a + b : a in self, b in other}.
+
+        Ray-plus-points sets are closed under it: a ray plus any member of
+        the other set is a ray the same way, opposite rays sum onto all of Z,
+        and points add pairwise.
+        """
+        if self.is_empty() or other.is_empty():
+            return IntegerSet.empty()
+        if self.is_all or other.is_all:
+            return IntegerSet.all()
+        if not self.points and not other.points:
+            # two rays pointing the same way: the parabolic builder's shapes
+            if self.down is None and other.down is None:
+                return IntegerSet(up=self.up + other.up)
+            if self.up is None and other.up is None:
+                return IntegerSet(down=self.down + other.down)
+        pairs = ((self, other), (other, self))
+        if any(x.down is not None and y.up is not None for x, y in pairs):
+            return IntegerSet.all()
+        down = up = None
+        for x, y in pairs:
+            # y has no ray against x's, so its extreme member is a point or its own ray end
+            if x.down is not None:
+                down = _max_opt(down, x.down + max(y.points, default=y.down))
+            if x.up is not None:
+                up = _min_opt(up, x.up + min(y.points, default=y.up))
+        return IntegerSet.make(down, up, {p + q for p in self.points for q in other.points})
+
     def negate(self) -> "IntegerSet":
         """The set {-k : k in self}."""
         if self.is_all:
@@ -200,18 +229,6 @@ class IntegerSet:
         if self.up is not None and (other.up is None or other.up > self.up):
             return False
         return all(p in other for p in self.points)
-
-    def first_in(self, window: range) -> int | None:
-        """The least member inside a step-1 ``window``, or None."""
-        lo, hi = window.start, window.stop - 1
-        if lo > hi:
-            return None
-        if self.is_all or (self.down is not None and self.down >= lo):
-            return lo
-        found = [p for p in self.points if lo <= p <= hi]
-        if self.up is not None and self.up <= hi:
-            found.append(max(self.up, lo))
-        return min(found, default=None)
 
     def complement_in(self, window: range) -> list[int]:
         return [k for k in window if k not in self]

@@ -1,8 +1,11 @@
 """Subsets of a loop system described line by line, and their decomposition.
 
-A subset stores, for every (finite vector, sigma) line, the exact set of
-delta-levels it contains.  That makes symmetry, closure, covering and
-properness checks exact on whole lines rather than sampled.
+A subset stores, for every (finite vector, sigma) line of its system, the
+exact set of delta-levels it contains.  ``RootSubset.of`` is the boundary:
+it keys each level set by the system line it names and raises NotARoot for
+anything else, so the checks below only meet system lines.  That makes
+symmetry, covering, properness and ``check_parabolic``'s closure test exact
+on whole lines rather than sampled.
 
 ``decompose`` splits the even part of such a subset into the loop
 extensions of the orthogonality components of its finite core, which is
@@ -16,6 +19,7 @@ from .affine import AffineRootSystem
 from .errors import (
     HypothesisViolated,
     NotAFiniteRootSystem,
+    NotARoot,
     NotUniformlyHybrid,
 )
 from .finite import FiniteRootSet, FiniteTypeId, check_supersystem_axioms, irreducible_components
@@ -30,11 +34,23 @@ class RootSubset:
 
     @staticmethod
     def of(system: AffineRootSystem, mapping) -> "RootSubset":
+        """The subset with levels ``mapping[key]`` on the line each key names.
+
+        A key may be any k = 0 member of its line (a block-shifted ANN vector
+        names the line of its projection); keys that name the same line are
+        merged by union, and empty level sets are dropped.  Raises NotARoot
+        for a key with k != 0 or on no line of the system.
+        """
+        where, lines = system.line_positions, system.lines
         clean = {}
-        for line, ks in mapping.items():
-            if ks.is_empty():
-                continue
-            clean[line] = ks
+        for key, ks in mapping.items():
+            if key not in where:
+                e = None if key.k else system.entry(key)
+                if e is None:
+                    raise NotARoot(f"{key} names no line of {system.token}")
+                key = lines[e.pos]
+            if not ks.is_empty():
+                clean[key] = clean[key].union(ks) if key in clean else ks
         return RootSubset(system, clean)
 
     def levels(self, line: Root) -> IntegerSet:
@@ -51,17 +67,17 @@ class RootSubset:
     def __contains__(self, r: Root) -> bool:
         return self.contains(r)
 
+    # The derived subsets below are keyed by system lines already, and every
+    # level set in them is non-empty, so they skip ``of``.
+
     def negated(self) -> "RootSubset":
-        out = {}
-        for line, ks in self.lines.items():
-            out[-line] = ks.negate()
-        return RootSubset.of(self.system, out)
+        return RootSubset(self.system, {-line: ks.negate() for line, ks in self.lines.items()})
 
     def union(self, other: "RootSubset") -> "RootSubset":
         out = dict(self.lines)
         for line, ks in other.lines.items():
-            out[line] = out.get(line, IntegerSet.empty()).union(ks)
-        return RootSubset.of(self.system, out)
+            out[line] = out[line].union(ks) if line in out else ks
+        return RootSubset(self.system, out)
 
     def same_as(self, other: "RootSubset") -> bool:
         return self.lines == other.lines
@@ -71,9 +87,7 @@ class RootSubset:
 
     def mirrored(self) -> "RootSubset":
         """The k -> -k image."""
-        return RootSubset.of(
-            self.system, {line: ks.negate() for line, ks in self.lines.items()}
-        )
+        return RootSubset(self.system, {line: ks.negate() for line, ks in self.lines.items()})
 
     def window_members(self, kmax: int) -> tuple[Root, ...]:
         out = []
@@ -89,64 +103,44 @@ class RootSubset:
         return _window_violations(self, kmax)
 
     def even_part(self) -> "RootSubset":
-        keep = {}
-        for line, ks in self.lines.items():
-            if self.system.parity(Root(line.coords, 0, line.sigma)) == EVEN:
-                keep[line] = ks
-        return RootSubset.of(self.system, keep)
+        keep = {line: ks for line, ks in self.lines.items() if self.system.parity(line) == EVEN}
+        return RootSubset(self.system, keep)
 
 
-def _by_position(sub: RootSubset) -> dict[int, IntegerSet]:
-    """The level sets of ``sub``'s lines that are system lines, by position."""
-    where = sub.system.line_positions
-    return {where[line]: ks for line, ks in sub.lines.items() if line in where}
+def _window_violations(P: RootSubset, kmax: int) -> list[tuple[Root, Root, Root]]:
+    """Triples (a, b, a + b) of roots with a, b in P's window |k| <= kmax and
+    a + b in the system but not in P.
 
-
-def _window_violations(
-    P: RootSubset, kmax: int, S: RootSubset | None = None
-) -> list[tuple[Root, Root, Root]]:
-    """Triples (a, b, a + b) with a, b in P's window |k| <= kmax and a + b in
-    S (the whole system when S is None) but not in P.
-
-    Whether a + b lies in S or P depends only on the line of a + b and on
-    its level, so each pair of lines is added once, by position
+    Whether a + b lies in P depends only on the line of a + b and on its
+    level, so each pair of lines is added once, by position
     (``AffineRootSystem.line_sum``): its target line and the level sums that
-    land in S but not in P.  Only integer levels are enumerated per pair, in
-    the order of a scan over ``P.window_members(kmax)`` squared.
+    P misses there.  Only integer levels are enumerated per pair, in the
+    order of a scan over ``P.window_members(kmax)`` squared.
     """
     system = P.system
     where = system.line_positions
     lines = sorted(P.lines, key=lambda r: r.key())
-    positions = [where.get(line) for line in lines]
+    positions = [where[line] for line in lines]
     window = range(-kmax, kmax + 1)
     levels = [[k for k in window if k in P.lines[line]] for line in lines]
-    have_at = _by_position(P)
-    need_at = None if S is None else _by_position(S)
-    empty, full = IntegerSet.empty(), IntegerSet.all()
+    have_at = dict(zip(positions, (P.lines[line] for line in lines)))
+    empty = IntegerSet.empty()
     rows = []
-    for la, pa, ka in zip(lines, positions, levels):
+    for pa, ka in zip(positions, levels):
         row = []
         for lb, pb, kb in zip(lines, positions, levels):
             if not ka or not kb:
                 continue
-            if pa is None or pb is None:
-                # a line given off the system's list: add the roots themselves
-                t = la + lb
-                e = system.entry(t)
-                pt = None if e is None else e.pos
-            else:
-                pt = system.line_sum(pa, pb)
-                t = None if pt is None else system.lines[pt]
+            pt = system.line_sum(pa, pb)
             if pt is None:
                 continue
             have = have_at.get(pt, empty)
-            need = full if need_at is None else need_at.get(pt, empty)
-            if need.is_subset(have):
+            if have.is_all:
                 continue
             sums = range(ka[0] + kb[0], ka[-1] + kb[-1] + 1)
-            missed = {k for k in sums if k in need and k not in have}
+            missed = {k for k in sums if k not in have}
             if missed:
-                row.append((lb, kb, t, missed))
+                row.append((lb, kb, system.lines[pt], missed))
         rows.append(row)
     out = []
     for la, ka, row in zip(lines, levels, rows):
@@ -336,56 +330,28 @@ class ParabolicCheck:
         return not self.additive_violations and not self.covering_failures
 
 
-def _ray_sum(x: IntegerSet, y: IntegerSet) -> IntegerSet:
-    """Minkowski sum of two ray-shaped level sets."""
-    if x.is_empty() or y.is_empty():
-        return IntegerSet.empty()
-    if x.is_all or y.is_all:
-        return IntegerSet.all()
-    if x.up is not None and y.up is not None:
-        return IntegerSet.at_least(x.up + y.up)
-    if x.down is not None and y.down is not None:
-        return IntegerSet.at_most(x.down + y.down)
-    return IntegerSet.all()  # opposite rays sum onto every level
-
-
 def check_parabolic(P: RootSubset, S: RootSubset, kmax: int) -> ParabolicCheck:
-    """(P+P) closure inside S, and P u -P = S (exact, line-wise).
+    """(P + P) intersect S inside P, and P u -P = S, exact on whole lines.
 
-    The closure direction is exact whenever every involved level set is a
-    ray (the shapes the parabolic builder produces); otherwise it falls
-    back to a windowed enumeration with |k| <= kmax.
+    For each pair of P's lines (f_a, f_b) whose sum lies on a line t of S,
+    the levels (P_a + P_b) intersect S_t must lie in P_t; a pair that fails
+    is reported as the line triple (f_a, f_b, t).  The verdict reads no
+    window: ``kmax`` stays in the signature for callers that pass one.
     """
     system = P.system
+    where = system.line_positions
+    items = [(fa, ka, where[fa]) for fa, ka in P.lines.items()]
+    have_at = {pa: ka for _, ka, pa in items}
+    need_at = {where[line]: ks for line, ks in S.lines.items()}
     additive = []
-    all_rays = all(ks.is_ray_shape() for ks in P.lines.values()) and all(
-        ks.is_ray_shape() for ks in S.lines.values()
-    )
-    if all_rays:
-        where = system.line_positions
-        items = [(fa, ka, where.get(fa)) for fa, ka in P.lines.items()]
-        have_at, need_at = _by_position(P), _by_position(S)
-        # S lines off the system's list can only be met by adding the roots
-        off = len(need_at) < len(S.lines)
-        for fa, ka, pa in items:
-            for fb, kb, pb in items:
-                pt = None if pa is None or pb is None else system.line_sum(pa, pb)
-                if pt is not None:
-                    target = system.lines[pt]
-                    ks_t, have = need_at.get(pt), have_at.get(pt, IntegerSet.empty())
-                elif pa is None or pb is None or off:
-                    target = fa + fb
-                    ks_t, have = S.levels(target), P.levels(target)
-                else:
-                    continue
-                if ks_t is None or ks_t.is_empty():
-                    continue
-                got = _ray_sum(ka, kb)
-                need = got.intersect(ks_t)
-                if not need.is_subset(have):
-                    additive.append((fa, fb, target))
-    else:
-        additive = _window_violations(P, kmax, S)
+    for fa, ka, pa in items:
+        for fb, kb, pb in items:
+            pt = system.line_sum(pa, pb)
+            ks_t = need_at.get(pt)
+            if ks_t is None:
+                continue
+            if not (ka + kb).intersect(ks_t).is_subset(have_at.get(pt, IntegerSet.empty())):
+                additive.append((fa, fb, system.lines[pt]))
     covering = []
     neg = P.negated()
     for line, ks in S.lines.items():

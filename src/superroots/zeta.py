@@ -35,7 +35,7 @@ from .intsets import IntegerSet
 # solve stays bound here for the benchmark tracer, whose self-test wraps it at
 # every module that imports it
 from .linalg import dot, solve  # noqa: F401
-from .roots import Root
+from .roots import KIND_REAL, Root
 from .shadows import DOWN, UP
 from .subsets import Component, RootSubset
 
@@ -434,7 +434,7 @@ def verify_zeta(
             if line not in spans:
                 continue
             c, w, live = spans[line]
-            inside = P.levels_through(line)
+            inside = P.levels(line)
             if live.intersect(IntegerSet.where_nonnegative(c, w)) == live.intersect(inside):
                 continue
             for k in window:
@@ -446,11 +446,7 @@ def verify_zeta(
         problems.append(f"{sysm.format(r)}: value {func.value(r)} vs membership {P.contains(r)}")
     if shadow is not None:
         for line in ordered:
-            # classify comes first: off the system it raises, in or out of the span
-            first = S.lines[line].first_in(window)
-            if first is None or sysm.classify(Root(line.coords, first, line.sigma)) != "real":
-                continue
-            if line not in spans:
+            if line not in spans or sysm.line_index[line.coords, line.sigma].kind != KIND_REAL:
                 continue
             c, w, live = spans[line]
             ln = shadow.ln_levels(line)

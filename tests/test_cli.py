@@ -6,6 +6,8 @@ errors (argparse raises SystemExit(2) via parser.error).
 from __future__ import annotations
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -296,6 +298,40 @@ def test_output_flag_writes_the_stdout_report(argv, tmp_path, capsys):
     assert rc_file == rc == 0
     assert out_file == f"wrote {target}\n"
     assert target.read_text(encoding="utf-8") == out
+
+
+# -- a reader that leaves early ------------------------------------------------------
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, as under ``superroots ... | head``: every
+    write raises, and its descriptor is a file the test owns."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_1_without_a_traceback(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(["decompose", "--type", "A,1,1", "--window", "4"]) == 1
+        # the descriptor now leads to devnull: the flush at exit cannot fail
+        os.write(fd, b"lost")
+    finally:
+        os.close(fd)
+    assert target.read_bytes() == b""
+    assert capsys.readouterr().err == ""
 
 
 # -- one parser for every call --------------------------------------------------------

@@ -107,6 +107,39 @@ def test_subset_matches_windows(a, b):
     assert a.is_subset(b) == (window_of(a) <= window_of(b))
 
 
+def brute_sum(a: IntegerSet, b: IntegerSet, levels: range) -> set[int]:
+    """The levels k with k = i + j, i in a, j in b, for i within a wide range.
+
+    The generated rays and points lie in [-8, 8], so a witness for any
+    |k| <= 20 has |i| <= 28."""
+    return {k for k in levels if any(i in a and k - i in b for i in range(-40, 41))}
+
+
+@given(intsets(), intsets())
+def test_sum_matches_brute_force(a, b):
+    # the sums' rays and points lie in [-16, 16], so [-20, 20] sees all of them
+    levels = range(-20, 21)
+    got = a + b
+    assert {k for k in levels if k in got} == brute_sum(a, b, levels)
+    assert got == IntegerSet.make(got.down, got.up, got.points) or got.is_all
+    assert got == b + a
+
+
+def test_sum_examples():
+    up, down = IntegerSet.at_least(2), IntegerSet.at_most(-1)
+    assert up + IntegerSet.at_least(-5) == IntegerSet.at_least(-3)
+    assert down + IntegerSet.at_most(4) == IntegerSet.at_most(3)
+    assert up + down == IntegerSet.all()
+    assert up + IntegerSet.of(-4, 1) == IntegerSet.at_least(-2)
+    assert down + IntegerSet.make(-6, None, {0, 3}) == IntegerSet.at_most(2)
+    assert IntegerSet.of(0, 5) + IntegerSet.of(1, 2) == IntegerSet.of(1, 2, 6, 7)
+    assert IntegerSet.make(-3, 3, {0}) + IntegerSet.of(0) == IntegerSet.make(-3, 3, {0})
+    assert IntegerSet.make(None, 6, {0}) + IntegerSet.of(0, 2) == IntegerSet.make(None, 6, {0, 2})
+    for s in (up, down, IntegerSet.of(3), IntegerSet.all()):
+        assert s + IntegerSet.empty() == IntegerSet.empty() == IntegerSet.empty() + s
+        assert s + IntegerSet.all() == IntegerSet.all()
+
+
 @given(intsets())
 def test_double_negate_is_identity(a):
     assert a.negate().negate() == a
@@ -121,21 +154,6 @@ def test_structural_equality_is_extensional(a, b):
 def test_complement_in():
     s = IntegerSet.at_least(2)
     assert s.complement_in(range(0, 5)) == [0, 1]
-
-
-@given(intsets(), small_ints, st.integers(min_value=-1, max_value=12))
-def test_first_in_matches_windows(a, lo, width):
-    window = range(lo, lo + width)
-    assert a.first_in(window) == next((k for k in window if k in a), None)
-
-
-def test_first_in_examples():
-    assert IntegerSet.all().first_in(range(-3, 4)) == -3
-    assert IntegerSet.at_most(-5).first_in(range(-3, 4)) is None
-    assert IntegerSet.make(-5, 9, [1, 2]).first_in(range(-3, 4)) == 1
-    assert IntegerSet.at_least(-7).first_in(range(-3, 4)) == -3
-    assert IntegerSet.of(4).first_in(range(-3, 4)) is None
-    assert IntegerSet.all().first_in(range(2, 2)) is None
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)

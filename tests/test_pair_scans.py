@@ -1,8 +1,11 @@
 """Differential tests: the line-pair scans against the windowed scans they replace.
 
-``closure_violations``, ``check_parabolic``'s non-ray fallback,
-``validate_shadow`` and ``root_string`` decide each pair of roots from the
-pair's lines and a few integer levels; ``verify_zeta`` decides each line
+``closure_violations``, ``validate_shadow`` and ``root_string`` decide each
+pair of roots from the pair's lines and a few integer levels;
+``check_parabolic`` decides each pair of lines exactly, from Minkowski sums
+of their level sets, and is checked against the windowed closure scan on a
+window wide enough to hold a witness of every failing pair, projected to
+line triples; ``verify_zeta`` decides each line
 from the functional's exact level sets on it; kinds, the axioms and
 ``irreducible_components`` read a finite set's integer pairing table; an
 affine system's ``contains``, ``classify``, ``parity`` and ``class_rep``
@@ -56,7 +59,7 @@ from superroots.roots import (
     eps_delta_basis,
 )
 from superroots.shadows import DOWN, UP, ShadowReport, Violation
-from superroots.subsets import _ray_sum, component_parabolic
+from superroots.subsets import component_parabolic
 from superroots.zeta import (
     LinearFunctional,
     ZetaComponent,
@@ -80,17 +83,49 @@ def windowed_closure_violations(P: RootSubset, kmax: int, S: RootSubset | None =
     """Every window pair (a, b) of P with a + b in S (the system if None) but not in P."""
     members = P.window_members(kmax)
     out = []
+    missing = {}  # sum -> whether it is in S but not in P; many pairs share a sum
     for a in members:
         for b in members:
             s = a + b
-            inside = P.system.contains(s) if S is None else windowed_contains(S, s)
-            if inside and not windowed_contains(P, s):
+            bad = missing.get(s)
+            if bad is None:
+                inside = P.system.contains(s) if S is None else windowed_contains(S, s)
+                bad = missing[s] = inside and not windowed_contains(P, s)
+            if bad:
                 out.append((a, b, s))
     return out
 
 
+#: ``random_levels``' sets are constant on k <= -5 and on k >= 5, so a pair of
+#: lines that breaks closure has a witness pair with both levels in [-10, 10]
+WIDE = 10
+
+
+def line_of(r: Root) -> Root:
+    return Root(r.coords, 0, r.sigma)
+
+
+def windowed_line_triples(P: RootSubset, S: RootSubset, kmax: int = WIDE) -> set:
+    """``windowed_closure_violations`` projected to (line, line, target line)."""
+    return {tuple(map(line_of, t)) for t in windowed_closure_violations(P, kmax, S)}
+
+
+def ray_sum(x: IntegerSet, y: IntegerSet) -> IntegerSet:
+    """Minkowski sum of two ray-shaped level sets."""
+    if x.is_empty() or y.is_empty():
+        return IntegerSet.empty()
+    if x.is_all or y.is_all:
+        return IntegerSet.all()
+    if x.up is not None and y.up is not None:
+        return IntegerSet.at_least(x.up + y.up)
+    if x.down is not None and y.down is not None:
+        return IntegerSet.at_most(x.down + y.down)
+    return IntegerSet.all()  # opposite rays sum onto every level
+
+
 def fraction_ray_additive(P: RootSubset, S: RootSubset):
-    """``check_parabolic``'s exact ray-shape closure, adding each pair of lines as roots."""
+    """``check_parabolic``'s closure test on ray shapes, adding each pair of
+    lines as roots and summing rays case by case."""
     out = []
     for fa, ka in P.lines.items():
         for fb, kb in P.lines.items():
@@ -98,7 +133,7 @@ def fraction_ray_additive(P: RootSubset, S: RootSubset):
             ks_t = S.levels(target)
             if ks_t.is_empty():
                 continue
-            if not _ray_sum(ka, kb).intersect(ks_t).is_subset(P.levels(target)):
+            if not ray_sum(ka, kb).intersect(ks_t).is_subset(P.levels(target)):
                 out.append((fa, fb, target))
     return tuple(out)
 
@@ -478,11 +513,20 @@ def test_closure_covers_sigma_lines():
     assert any(a.sigma or b.sigma for a, b, _ in got)
 
 
-# -- check_parabolic's non-ray fallback ---------------------------------------------------
+# -- check_parabolic on any level sets ---------------------------------------------------
+
+
+def exact_additive(P: RootSubset, S: RootSubset) -> set:
+    got = check_parabolic(P, S, 3).additive_violations
+    assert check_parabolic(P, S, 0).additive_violations == got  # no window enters
+    assert len(set(got)) == len(got)  # each pair of lines is reported once
+    return set(got)
 
 
 @pytest.mark.parametrize("token", ["B,1,1", "D21L", "A,2,1", "B,2,1"])
 def test_parabolic_fallback_matches_windowed_scan(token):
+    """Points, partial lines and rays: the exact line triples are the wide
+    windowed scan's."""
     sys_ = system(token)
     dec = decompose(sys_, even_subset(sys_), kmax=4)
     rng = random.Random(f"parabolic {token}")
@@ -492,8 +536,7 @@ def test_parabolic_fallback_matches_windowed_scan(token):
             P = RootSubset.of(
                 sys_, {**random_subset(sys_, rng, lines).lines, lines[0]: IntegerSet.of(0, 2)}
             )
-            check = check_parabolic(P, within, 3)
-            assert check.additive_violations == tuple(windowed_closure_violations(P, 3, within))
+            assert exact_additive(P, within) == windowed_line_triples(P, within)
 
 
 def test_parabolic_fallback_on_partial_lines():
@@ -508,9 +551,14 @@ def test_parabolic_fallback_on_partial_lines():
             -dd: IntegerSet.of(0, 1),
         },
     )
-    check = check_parabolic(P, comp.subset, 4)
-    assert check.additive_violations
-    assert check.additive_violations == tuple(windowed_closure_violations(P, 4, comp.subset))
+    got = exact_additive(P, comp.subset)
+    assert got == windowed_line_triples(P, comp.subset)
+    # every pair but dd + dd and -dd + -dd (no line) fills levels P misses
+    z = sys_.zero_root
+    assert got == {
+        (z, z, z), (z, dd, dd), (dd, z, dd), (z, -dd, -dd), (-dd, z, -dd),
+        (dd, -dd, z), (-dd, dd, z),
+    }
 
 
 def random_ray_subset(sys_, rng: random.Random) -> RootSubset:
@@ -533,70 +581,19 @@ def touches_sigma(triples) -> bool:
 def test_parabolic_matches_oracles_on_subsets_with_sigma_lines(token):
     sys_ = system(token)
     rng = random.Random(f"sigma parabolic {token}")
-    fallback, rays = [], []
+    mixed, rays = [], []
     for _ in range(3):
         P, S = random_subset(sys_, rng), random_subset(sys_, rng)
-        got = check_parabolic(P, S, 3).additive_violations
-        assert got == tuple(windowed_closure_violations(P, 3, S))
-        fallback += got
+        got = exact_additive(P, S)
+        assert got == windowed_line_triples(P, S)
+        mixed += got
         P, S = random_ray_subset(sys_, rng), random_ray_subset(sys_, rng)
         got = check_parabolic(P, S, 3).additive_violations
         assert got == fraction_ray_additive(P, S)
         rays += got
-    assert fallback and rays
-    if token in ANN_TYPES:  # the comparisons met sigma lines on both paths
-        assert touches_sigma(fallback) and touches_sigma(rays)
-
-
-def off_system_lines(sys_):
-    """(la, lb, lc): system lines whose sum la + lb lies on no line, while
-    la + lb + lc lies on one."""
-    for la in sys_.lines:
-        for lb in sys_.lines:
-            if sys_.contains(la + lb):
-                continue
-            for lc in sys_.lines:
-                if sys_.contains(la + lb + lc):
-                    return la, lb, lc
-    raise AssertionError("every sum of two lines lies on a line")
-
-
-@pytest.mark.parametrize("token", ["B,1,1", "A,1,1"])
-def test_pair_scans_on_lines_off_the_system(token):
-    """Line keys that are no system line take the root-adding path."""
-    sys_ = system(token)
-    rng = random.Random(f"off the system {token}")
-    la, lb, partner = off_system_lines(sys_)
-    stray = la + lb
-    landing = sys_.lines[sys_.entry(stray + partner).pos]
-    full = IntegerSet.all()
-    extra = {stray: full, partner: full}
-    if sys_.type_id.family == "ANN":
-        # a block-shifted, so non-canonical, key of a member line
-        half = sys_.basis.dim // 2
-        shifted = tuple(c + 1 for c in partner.coords[:half]) + partner.coords[half:]
-        extra[Root(shifted, 0, partner.sigma)] = IntegerSet.at_least(0)
-    P = RootSubset.of(sys_, {**random_subset(sys_, rng).lines, **extra})
-    S = RootSubset.of(sys_, {**random_subset(sys_, rng).lines, **extra})
-    got = P.closure_violations(2)
-    assert got == windowed_closure_violations(P, 2)
-    assert any(stray.coords in (a.coords, b.coords) for a, b, _ in got)
-    got = check_parabolic(P, S, 2).additive_violations
-    assert got == tuple(windowed_closure_violations(P, 2, S))
-    # the exact ray path: the stray keys in P, and then the stray line in S alone
-    rays = [random_ray_subset(sys_, rng).lines for _ in range(4)]
-    for P, S, witness in (
-        (
-            {**rays[0], **extra, landing: IntegerSet.empty()},
-            {**rays[1], landing: full},
-            (stray, partner, landing),
-        ),
-        ({**rays[2], la: full, lb: full}, {**rays[3], stray: full}, (la, lb, stray)),
-    ):
-        P, S = RootSubset.of(sys_, P), RootSubset.of(sys_, S)
-        got = check_parabolic(P, S, 2).additive_violations
-        assert got == fraction_ray_additive(P, S)
-        assert witness in got
+    assert mixed and rays
+    if token in ANN_TYPES:  # the comparisons met sigma lines on both shapes
+        assert touches_sigma(mixed) and touches_sigma(rays)
 
 
 # -- shadow sum laws -------------------------------------------------------------------
@@ -833,24 +830,6 @@ def test_verify_zeta_matches_windowed_scan_when_the_span_misses_delta():
     ):
         hand_built = ZetaResult(func, result.case, UP, result.components, result.zeta_delta)
         assert assert_verify_matches_windowed(hand_built, sub, shadows)
-
-
-def test_verify_zeta_raises_like_the_windowed_scan_off_the_system():
-    sys_, sub, _, result, (_, shadow) = _b11_case()
-    stray = Root((Q(1), Q(3)), 0, 0)
-    assert not sys_.contains(stray)
-    with_stray = RootSubset.of(sys_, {**sub.lines, stray: IntegerSet.at_least(2)})
-    # no window member on the stray line at kmax 1, and no classify without a shadow
-    for kmax, colouring in ((1, shadow), (3, None)):
-        got = verify_zeta(result, with_stray, kmax, shadow=colouring)
-        assert got == windowed_verify_zeta(result, with_stray, kmax, shadow=colouring)
-        assert any("cone gives" in p for p in got)
-    errors = []
-    for verify in (verify_zeta, windowed_verify_zeta):
-        with pytest.raises(NotARoot) as info:
-            verify(result, with_stray, 3, shadow=shadow)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
 
 
 # -- the affine line index ----------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from superroots import (
     HypothesisViolated,
     IntegerSet,
+    NotARoot,
     NotUniformlyHybrid,
     Root,
     RootSubset,
@@ -62,6 +63,46 @@ def test_subset_of_drops_empty_lines():
         s, {Root((Q(1), Q(0)), 0, 0): IntegerSet.empty()}
     )
     assert sub.lines == {}
+
+
+@pytest.mark.parametrize("token", ["A,1,1", "A,2,2"])
+def test_of_keys_a_block_shifted_line_by_its_system_line(token):
+    """On equal-block types a key shifted along the block trace names the line
+    of its projection: the subset holds that line, not the shifted key."""
+    s = build_affine(parse_type_token(token))
+    half = s.basis.dim // 2
+    line = next(f for f in s.lines if f.sigma)
+    shifted = Root(tuple(c + 1 for c in line.coords[:half]) + line.coords[half:], 0, line.sigma)
+    assert shifted != line and s.entry(shifted) == s.entry(line)
+    # P u -P covers both lines at every level
+    canonical = RootSubset.of(s, {line: IntegerSet.at_least(0), -line: IntegerSet.at_least(1)})
+    given = RootSubset.of(s, {shifted: IntegerSet.at_least(0), -line: IntegerSet.at_least(1)})
+    assert given.same_as(canonical)
+    for k in (-1, 0, 3):
+        r = Root(line.coords, k, line.sigma)
+        assert given.contains(r) == canonical.contains(r) == (k >= 0)
+    assert given.is_symmetric() == canonical.is_symmetric() is False
+    whole = RootSubset.of(s, {line: IntegerSet.all(), shifted: IntegerSet.all(), -line: IntegerSet.all()})
+    assert set(whole.lines) == {line, -line}
+    for P in (given, canonical):
+        assert check_parabolic(P, whole, 3).covering_failures == ()
+    symmetric = RootSubset.of(s, {shifted: IntegerSet.all(), -line: IntegerSet.all()})
+    assert symmetric.is_symmetric() and symmetric.same_as(whole)
+    # keys that name the same line are merged by union
+    merged = RootSubset.of(s, {shifted: IntegerSet.at_least(2), line: IntegerSet.of(0)})
+    assert merged.lines == {line: IntegerSet.make(None, 2, {0})}
+
+
+def test_of_rejects_keys_that_name_no_line():
+    s = b11()
+    stray = Root((Q(1), Q(3)), 0, 0)
+    assert stray not in s
+    for key in (stray, Root((Q(1), Q(0)), 1, 0), Root((Q(0),), 0, 0)):
+        with pytest.raises(NotARoot):
+            RootSubset.of(s, {key: IntegerSet.at_least(0)})
+    # a stray key is rejected even when its level set is empty
+    with pytest.raises(NotARoot):
+        RootSubset.of(s, {stray: IntegerSet.empty()})
 
 
 def test_negated_union_symmetric():
