@@ -25,7 +25,6 @@ from .errors import (
     NotRealRoot,
     NotUniformlyHybrid,
     OutsideSpan,
-    OutsideWindow,
     RankError,
     SuperrootsError,
     TooFewSamples,

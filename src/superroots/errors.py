@@ -93,10 +93,3 @@ class NotAFiniteRootSystem(SuperrootsError):
 
 class DirectionNotDecidable(SuperrootsError):
     """Support-set query falls outside the decidable descriptor algebra."""
-
-
-class OutsideWindow(SuperrootsError):
-    """Exact answer would require data beyond the declared enumeration horizon.
-
-    Not raised yet: it is kept for the planned window-free checks.
-    """

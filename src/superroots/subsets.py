@@ -4,8 +4,8 @@ A subset stores, for every (finite vector, sigma) line of its system, the
 exact set of delta-levels it contains.  ``RootSubset.of`` is the boundary:
 it keys each level set by the system line it names and raises NotARoot for
 anything else, so the checks below only meet system lines.  That makes
-symmetry, covering, properness and ``check_parabolic``'s closure test exact
-on whole lines rather than sampled.
+symmetry, covering, properness and closure (``_closure_gaps``, which every
+closure check reads) exact on whole lines rather than sampled.
 
 ``decompose`` splits the even part of such a subset into the loop
 extensions of the orthogonality components of its finite core, which is
@@ -99,59 +99,67 @@ class RootSubset:
         return tuple(out)
 
     def closure_violations(self, kmax: int) -> list[tuple[Root, Root, Root]]:
-        """Windowed violations of (S + S) intersect R subset-of S."""
-        return _window_violations(self, kmax)
+        """Windowed violations of (S + S) intersect R subset-of S, in the
+        order of a scan over ``window_members(kmax)`` squared; window levels
+        are walked only on the pairs of lines ``_closure_gaps`` flags."""
+        gaps = sorted(_closure_gaps(self), key=_scan_order)
+        if not gaps:
+            return []
+        window = range(-kmax, kmax + 1)
+        levels = {line: [k for k in window if k in ks] for line, ks in self.lines.items()}
+        rows = {}
+        for fa, fb, t in gaps:
+            rows.setdefault(fa, []).append((fb, levels[fb], t, self.levels(t)))
+        out = []
+        for la, row in rows.items():
+            for i in levels[la]:
+                a = Root(la.coords, i, la.sigma)
+                for lb, kb, t, have in row:
+                    for j in kb:
+                        if i + j not in have:
+                            out.append((a, Root(lb.coords, j, lb.sigma), Root(t.coords, i + j, t.sigma)))
+        return out
 
     def even_part(self) -> "RootSubset":
         keep = {line: ks for line, ks in self.lines.items() if self.system.parity(line) == EVEN}
         return RootSubset(self.system, keep)
 
 
-def _window_violations(P: RootSubset, kmax: int) -> list[tuple[Root, Root, Root]]:
-    """Triples (a, b, a + b) of roots with a, b in P's window |k| <= kmax and
-    a + b in the system but not in P.
+def _scan_order(gap: tuple[Root, Root, Root]) -> tuple:
+    """Line triples by their first line, then their second, in ``Root.key`` order."""
+    return gap[0].key(), gap[1].key()
 
-    Whether a + b lies in P depends only on the line of a + b and on its
-    level, so each pair of lines is added once, by position
-    (``AffineRootSystem.line_sum``): its target line and the level sums that
-    P misses there.  Only integer levels are enumerated per pair, in the
-    order of a scan over ``P.window_members(kmax)`` squared.
+
+def _closure_gaps(P: RootSubset, S: RootSubset | None = None):
+    """Yield (f_a, f_b, t) for each pair of P's lines whose sum lies on a
+    line t (of S, when given) where P_a + P_b, cut to S_t when S is given,
+    is not a subset of P_t: exact Minkowski sums, no window.  Raises
+    NotARoot for a key on no system line (a subset built without ``of``).
     """
     system = P.system
     where = system.line_positions
-    lines = sorted(P.lines, key=lambda r: r.key())
-    positions = [where[line] for line in lines]
-    window = range(-kmax, kmax + 1)
-    levels = [[k for k in window if k in P.lines[line]] for line in lines]
-    have_at = dict(zip(positions, (P.lines[line] for line in lines)))
+
+    def position(line: Root) -> int:
+        if line not in where:
+            raise NotARoot(f"{line} is not a line of {system.token}")
+        return where[line]
+
+    items = [(fa, ka, position(fa)) for fa, ka in P.lines.items()]
+    have_at = {pa: ka for _, ka, pa in items}
+    need_at = None if S is None else {position(line): ks for line, ks in S.lines.items()}
     empty = IntegerSet.empty()
-    rows = []
-    for pa, ka in zip(positions, levels):
-        row = []
-        for lb, pb, kb in zip(lines, positions, levels):
-            if not ka or not kb:
-                continue
+    for fa, ka, pa in items:
+        for fb, kb, pb in items:
             pt = system.line_sum(pa, pb)
             if pt is None:
                 continue
-            have = have_at.get(pt, empty)
-            if have.is_all:
-                continue
-            sums = range(ka[0] + kb[0], ka[-1] + kb[-1] + 1)
-            missed = {k for k in sums if k not in have}
-            if missed:
-                row.append((lb, kb, system.lines[pt], missed))
-        rows.append(row)
-    out = []
-    for la, ka, row in zip(lines, levels, rows):
-        for i in ka:
-            a = Root(la.coords, i, la.sigma)
-            for lb, kb, t, missed in row:
-                for j in kb:
-                    if i + j in missed:
-                        b = Root(lb.coords, j, lb.sigma)
-                        out.append((a, b, Root(t.coords, i + j, t.sigma)))
-    return out
+            reach = ka + kb
+            if need_at is not None:
+                if pt not in need_at:
+                    continue
+                reach = reach.intersect(need_at[pt])
+            if not reach.is_subset(have_at.get(pt, empty)):
+                yield fa, fb, system.lines[pt]
 
 
 def full_lines_subset(system: AffineRootSystem, finite_vectors, include_imaginary: bool = True) -> RootSubset:
@@ -220,7 +228,8 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
 
     Requirements checked here:
 
-    * the subset is symmetric and (windowed) closed,
+    * the subset is symmetric and closed at every level (a pair of lines
+      with no window witness is named by its line triple, after the rest),
     * every even line that meets the subset lies in it entirely, at every
       level (a missing level beyond the window is named as the witness too),
     * the finite core is a finite root system (all vectors real, pairings
@@ -228,13 +237,15 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
     """
     if not subset.is_symmetric():
         raise HypothesisViolated("subset is not symmetric")
-    bad = subset.closure_violations(kmax)
-    if bad:
-        a, b, s = bad[0]
-        raise HypothesisViolated(
-            f"subset not closed: {system.format(a)} + {system.format(b)} = {system.format(s)} missing",
-            witness=s,
-        )
+    gaps = sorted(_closure_gaps(subset), key=_scan_order)
+    if gaps:
+        bad = subset.closure_violations(kmax)
+        if bad:
+            a, b, s = bad[0]
+            raise HypothesisViolated(
+                f"subset not closed: {system.format(a)} + {system.format(b)} = {system.format(s)} missing",
+                witness=s,
+            )
     s0 = subset.even_part()
     core_vectors = []
     for line, ks in s0.lines.items():
@@ -265,6 +276,13 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
     if not report.passed:
         raise NotAFiniteRootSystem(
             f"core fails axioms {','.join(report.failed_axioms)}"
+        )
+    if gaps:
+        fa, fb, t = gaps[0]
+        raise HypothesisViolated(
+            f"subset not closed: lines {system.format(fa)} + {system.format(fb)} reach levels of "
+            f"{system.format(t)} it lacks, none with |k| <= {kmax}",
+            witness=gaps[0],
         )
     comps = []
     for idx, dot in enumerate(irreducible_components(core)):
@@ -338,20 +356,7 @@ def check_parabolic(P: RootSubset, S: RootSubset, kmax: int) -> ParabolicCheck:
     is reported as the line triple (f_a, f_b, t).  The verdict reads no
     window: ``kmax`` stays in the signature for callers that pass one.
     """
-    system = P.system
-    where = system.line_positions
-    items = [(fa, ka, where[fa]) for fa, ka in P.lines.items()]
-    have_at = {pa: ka for _, ka, pa in items}
-    need_at = {where[line]: ks for line, ks in S.lines.items()}
-    additive = []
-    for fa, ka, pa in items:
-        for fb, kb, pb in items:
-            pt = system.line_sum(pa, pb)
-            ks_t = need_at.get(pt)
-            if ks_t is None:
-                continue
-            if not (ka + kb).intersect(ks_t).is_subset(have_at.get(pt, IntegerSet.empty())):
-                additive.append((fa, fb, system.lines[pt]))
+    additive = tuple(_closure_gaps(P, S))
     covering = []
     neg = P.negated()
     for line, ks in S.lines.items():
@@ -362,4 +367,4 @@ def check_parabolic(P: RootSubset, S: RootSubset, kmax: int) -> ParabolicCheck:
         if line not in S.lines:
             covering.append((line, P.levels(line), IntegerSet.empty()))
     proper = not P.same_as(S)
-    return ParabolicCheck(tuple(additive), tuple(covering), proper)
+    return ParabolicCheck(additive, tuple(covering), proper)

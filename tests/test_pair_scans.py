@@ -1,11 +1,12 @@
 """Differential tests: the line-pair scans against the windowed scans they replace.
 
-``closure_violations``, ``validate_shadow`` and ``root_string`` decide each
-pair of roots from the pair's lines and a few integer levels;
-``check_parabolic`` decides each pair of lines exactly, from Minkowski sums
-of their level sets, and is checked against the windowed closure scan on a
-window wide enough to hold a witness of every failing pair, projected to
-line triples; ``verify_zeta`` decides each line
+``_closure_gaps`` decides each pair of lines exactly, from Minkowski sums
+of their level sets; it is checked, within S through ``check_parabolic`` and
+within the whole system, against the windowed closure scan on a window wide
+enough to hold a witness of every failing pair, projected to line triples.
+``closure_violations`` walks window levels only on the pairs it flags, and
+``validate_shadow`` and ``root_string`` decide each pair of roots from the
+pair's lines and a few integer levels; ``verify_zeta`` decides each line
 from the functional's exact level sets on it; kinds, the axioms and
 ``irreducible_components`` read a finite set's integer pairing table; an
 affine system's ``contains``, ``classify``, ``parity`` and ``class_rep``
@@ -59,7 +60,7 @@ from superroots.roots import (
     eps_delta_basis,
 )
 from superroots.shadows import DOWN, UP, ShadowReport, Violation
-from superroots.subsets import component_parabolic
+from superroots.subsets import _closure_gaps, component_parabolic
 from superroots.zeta import (
     LinearFunctional,
     ZetaComponent,
@@ -105,7 +106,7 @@ def line_of(r: Root) -> Root:
     return Root(r.coords, 0, r.sigma)
 
 
-def windowed_line_triples(P: RootSubset, S: RootSubset, kmax: int = WIDE) -> set:
+def windowed_line_triples(P: RootSubset, S: RootSubset | None, kmax: int = WIDE) -> set:
     """``windowed_closure_violations`` projected to (line, line, target line)."""
     return {tuple(map(line_of, t)) for t in windowed_closure_violations(P, kmax, S)}
 
@@ -526,7 +527,7 @@ def exact_additive(P: RootSubset, S: RootSubset) -> set:
 @pytest.mark.parametrize("token", ["B,1,1", "D21L", "A,2,1", "B,2,1"])
 def test_parabolic_fallback_matches_windowed_scan(token):
     """Points, partial lines and rays: the exact line triples are the wide
-    windowed scan's."""
+    windowed scan's, within S and within the whole system."""
     sys_ = system(token)
     dec = decompose(sys_, even_subset(sys_), kmax=4)
     rng = random.Random(f"parabolic {token}")
@@ -537,6 +538,7 @@ def test_parabolic_fallback_matches_windowed_scan(token):
                 sys_, {**random_subset(sys_, rng, lines).lines, lines[0]: IntegerSet.of(0, 2)}
             )
             assert exact_additive(P, within) == windowed_line_triples(P, within)
+            assert set(_closure_gaps(P)) == windowed_line_triples(P, None)
 
 
 def test_parabolic_fallback_on_partial_lines():

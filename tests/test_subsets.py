@@ -256,6 +256,36 @@ def test_decompose_rejects_a_partial_even_line_beyond_the_window():
     assert exc.value.witness in {Root((Q(-1), Q(0)), -21, 0), Root((Q(1), Q(0)), 21, 0)}
 
 
+def test_decompose_rejects_a_subset_closed_only_inside_the_window():
+    s = b11()
+    lines = dict(even_subset(s).lines)
+    lines.update({line: IntegerSet.of(*range(-20, 21)) for line in s.lines if line not in lines})
+    sub = RootSubset.of(s, lines)
+    # whole even lines plus odd levels -20..20: the window sums never leave
+    # the odd levels, but 0 + (-e1-d1) reaches -e1-d1 at every level
+    assert sub.is_symmetric()
+    assert sub.closure_violations(6) == []
+    with pytest.raises(HypothesisViolated) as exc:
+        decompose(s, sub, kmax=6)
+    assert "none with |k| <= 6" in str(exc.value)
+    f = Root((Q(-1), Q(-1)), 0, 0)
+    assert exc.value.witness == (f, s.zero_root, f)
+    # a window wide enough to reach level 21 shows the pair root by root
+    wide = sub.closure_violations(22)
+    assert len(wide) == 20240
+    assert (Root(s.zero_root.coords, 1), Root(f.coords, 20), Root(f.coords, 21)) in wide
+
+
+def test_closure_checks_name_a_key_off_the_system():
+    s = b11()
+    stray = Root((Q(1), Q(3)), 0, 0)  # e1 + 3d1
+    sub = RootSubset(s, {stray: IntegerSet.of(0), s.zero_root: IntegerSet.all()})
+    with pytest.raises(NotARoot, match="not a line of B,1,1"):
+        sub.closure_violations(3)
+    with pytest.raises(NotARoot, match="not a line of B,1,1"):
+        check_parabolic(sub, even_subset(s), 3)
+
+
 @pytest.mark.parametrize(
     "ks, expected",
     [
