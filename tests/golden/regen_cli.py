@@ -39,7 +39,8 @@ SHADOW_CONFIGS = (("G3", "shadow_g3.json"), ("A,2,2", "shadow_a22.json"), ("A,1,
 def calls() -> list[list[str]]:
     out = [["zeta", "--scenario", name] for name in scenario_names()]
     out += [["axioms", "--type", t] for t in FINITE_TYPES]
-    out += [["decompose", "--type", t] for t in ("B,1,1", "D21L", "A,2,1", "F4")]
+    # A,1,1 and A,2,2 are the equal-block types, whose line tables hold sigma lines
+    out += [["decompose", "--type", t] for t in ("B,1,1", "D21L", "A,2,1", "F4", "A,1,1", "A,2,2")]
     for t in AFFINE_TYPES:
         out += [["build", "--type", t], ["export", "--type", t, "--window", "1"]]
     out += [
