@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import lcm
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import NotARoot, NotRealRoot, RankError
@@ -21,6 +21,7 @@ from .roots import (
     KIND_IMAGINARY,
     KIND_REAL,
     KIND_ZERO,
+    ODD,
     AmbientBasis,
     Root,
     cartan_integer,
@@ -73,36 +74,79 @@ class AffineRootSystem:
     # -- membership and classification -------------------------------------
 
     @cached_property
-    def line_index(self) -> dict[tuple, LineEntry]:
-        """Each line's entry, keyed by its canonical (coords, sigma).
+    def _line_keys(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each line's integer key and the index in ``finite.roots`` of its
+        finite vector, in position order.
+
+        The key is the vector's coordinates over the members' common
+        denominator (``finite._view``), sigma last.  Sorting on it sorts the
+        lines in ``Root.key`` order, so positions follow that order.
+        """
+        fin = self.finite
+        return tuple(sorted(
+            (x + (s,), i)
+            for i, x in enumerate(fin._view.coords)
+            for s in self.sigma_options.get(fin.roots[i], (0,))
+        ))
+
+    @cached_property
+    def _line_at(self) -> dict[tuple[int, ...], int]:
+        """The position of each line's integer key; ``entry`` and
+        ``line_sum`` look lines up here."""
+        return {key: pos for pos, (key, _) in enumerate(self._line_keys)}
+
+    @cached_property
+    def lines(self) -> tuple[Root, ...]:
+        """All (finite vector, sigma) line identifiers, zero line included;
+        a line's position here is its name inside the library."""
+        roots = self.finite.roots
+        return tuple(Root(roots[i].coords, 0, key[-1]) for key, i in self._line_keys)
+
+    @cached_property
+    def line_negation(self) -> tuple[int, ...]:
+        """The position of each line's negative (-f, -sigma)."""
+        at = self._line_at
+        return tuple(at[tuple(-x for x in key)] for key, _ in self._line_keys)
+
+    @cached_property
+    def line_entries(self) -> tuple[LineEntry, ...]:
+        """Each line's entry, by its position in ``lines``.
 
         A member's kind depends only on its line and on whether k = 0, and
         its parity on its line alone, so each line is classified once here.
         """
-        index = {}
-        for pos, line in enumerate(self.lines):
-            f = Root(line.coords)
-            kind = self.finite.kind(f)
+        fin, lines, neg = self.finite, self.lines, self.line_negation
+        odd = {fin._view.find(r.coords) for r in fin.odd}
+        out = []
+        for pos, (key, i) in enumerate(self._line_keys):
+            kind = fin.kinds[i]
             if kind == KIND_ZERO:
                 # the zero line: 0 at k = 0, a multiple of delta elsewhere
-                entry = LineEntry(pos, KIND_ZERO, KIND_IMAGINARY, EVEN, None)
-            else:
-                kind0 = KIND_ZERO if kind == KIND_IMAGINARY and line.sigma == 0 else kind
-                real_class = None
-                if kind == KIND_REAL:
-                    rep = min(f, -f, key=Root.key)
-                    real_class = (rep, 1 if f == rep else -1)
-                entry = LineEntry(pos, kind0, kind, self.finite.parity(f), real_class)
-            index[line.coords, line.sigma] = entry
-        return index
+                out.append(LineEntry(pos, KIND_ZERO, KIND_IMAGINARY, EVEN, None))
+                continue
+            kind0 = KIND_ZERO if kind == KIND_IMAGINARY and key[-1] == 0 else kind
+            real_class = None
+            if kind == KIND_REAL:
+                # the rep is the side with the smaller key, so the earlier line
+                real_class = (lines[min(pos, neg[pos])], 1 if pos < neg[pos] else -1)
+            out.append(LineEntry(pos, kind0, kind, ODD if i in odd else EVEN, real_class))
+        return tuple(out)
 
     def entry(self, r: Root) -> LineEntry | None:
-        """The entry of r's line, or None when r is not a member."""
-        try:
-            c = self.canonicalize(r)
-        except NotARoot:
-            return None
-        return self.line_index.get((c.coords, c.sigma))
+        """The entry of r's line, or None when r is not a member.  r is looked
+        up as it is first; a hit is exact, since ANN's block projection fixes
+        every line, so only a miss pays for ``canonicalize``."""
+        pos = self._position(r)
+        if pos is None and self.type_id.family == "ANN":
+            try:
+                pos = self._position(self.canonicalize(r))
+            except NotARoot:
+                return None
+        return None if pos is None else self.line_entries[pos]
+
+    def _position(self, r: Root) -> int | None:
+        x = self.finite._view.ints(r.coords)
+        return None if x is None else self._line_at.get(x + (r.sigma,))
 
     def _member_entry(self, r: Root) -> LineEntry:
         e = self.entry(r)
@@ -138,10 +182,7 @@ class AffineRootSystem:
 
     @cached_property
     def real_class_reps(self) -> tuple[Root, ...]:
-        reps = set()
-        for f in self.finite.real_roots():
-            reps.add(min(f, -f, key=lambda r: r.key()))
-        return tuple(sorted(reps, key=lambda r: r.key()))
+        return tuple(rep for rep, _, _ in self.real_class_lines)
 
     def class_rep(self, r: Root) -> tuple[Root, int]:
         """Canonical class representative of a real member and the side.
@@ -155,45 +196,14 @@ class AffineRootSystem:
         return e.real_class
 
     @cached_property
-    def lines(self) -> tuple[Root, ...]:
-        """All (finite vector, sigma) line identifiers, zero line included."""
-        out = [self.zero_root]
-        for f in self.finite.nonzero:
-            for s in sorted(self.sigma_options.get(f, (0,))):
-                out.append(Root(f.coords, 0, s))
-        return tuple(sorted(out, key=lambda r: r.key()))
-
-    @cached_property
-    def line_entries(self) -> tuple[LineEntry, ...]:
-        """Each line's entry, by its position in ``lines``."""
-        return tuple(self.line_index.values())
-
-    @cached_property
-    def line_positions(self) -> dict[Root, int]:
-        """The position in ``lines`` of each line."""
-        return {line: pos for pos, line in enumerate(self.lines)}
-
-    @cached_property
     def real_class_lines(self) -> tuple[tuple[Root, int, int], ...]:
         """(rep, position of rep's line, position of -rep's line) per real
-        class, in ``real_class_reps`` order."""
-        sides: dict = {}
-        for e in self.line_entries:
-            if e.real_class is not None:
-                rep, side = e.real_class
-                sides.setdefault(rep, {})[side] = e.pos
-        return tuple((rep, sides[rep][1], sides[rep][-1]) for rep in self.real_class_reps)
-
-    @cached_property
-    def _line_keys(self) -> tuple[tuple[tuple[int, ...], ...], dict]:
-        """Each line as its coords times one common denominator, sigma last,
-        and the position each such tuple names."""
-        den = lcm(*(c.denominator for line in self.lines for c in line.coords))
-        keys = tuple(
-            tuple(c.numerator * (den // c.denominator) for c in line.coords) + (line.sigma,)
-            for line in self.lines
+        class, in ``Root.key`` order of the reps."""
+        return tuple(
+            (e.real_class[0], e.pos, self.line_negation[e.pos])
+            for e in self.line_entries
+            if e.real_class is not None and e.real_class[1] > 0
         )
-        return keys, {key: pos for pos, key in enumerate(keys)}
 
     @cached_property
     def _line_sums(self) -> dict[tuple[int, int, int], int | None]:
@@ -213,21 +223,19 @@ class AffineRootSystem:
         memo = self._line_sums
         pos = memo.get((a, b, m), -1)
         if pos == -1:
-            keys, positions = self._line_keys
-            pos = memo[a, b, m] = positions.get(
-                tuple(x + m * y for x, y in zip(keys[a], keys[b]))
+            keys = self._line_keys
+            pos = memo[a, b, m] = self._line_at.get(
+                tuple(x + m * y for x, y in zip(keys[a][0], keys[b][0]))
             )
         return pos
 
     @cached_property
     def _coord_groups(self) -> tuple:
         """The lines grouped by coords, in key order: (coords, ((sigma, entry), ...))."""
-        groups: dict = {}
-        for line in self.lines:
-            groups.setdefault(line.coords, []).append(
-                (line.sigma, self.line_index[line.coords, line.sigma])
-            )
-        return tuple((coords, tuple(sigmas)) for coords, sigmas in groups.items())
+        groups = groupby(zip(self.lines, self.line_entries), key=lambda le: le[0].coords)
+        return tuple(
+            (coords, tuple((line.sigma, e) for line, e in group)) for coords, group in groups
+        )
 
     def window_entries(self, kmax: int):
         """Each root with |k| <= kmax and its line's entry, in ``Root.key()``

@@ -198,14 +198,19 @@ class _IntegerView:
             None if carries_lam else tuple(map(tuple, numer)),
         )
 
-    def find(self, coords) -> int | None:
-        """The index of the member with these (Fraction) coordinates, or None."""
+    def ints(self, coords) -> tuple[int, ...] | None:
+        """These (Fraction) coordinates times ``denom``, or None when that
+        leaves a fraction (so they are no member's)."""
         ints = []
         for c in coords:
             if self.denom % c.denominator:
                 return None
             ints.append(c.numerator * (self.denom // c.denominator))
-        return self.index.get(tuple(ints))
+        return tuple(ints)
+
+    def find(self, coords) -> int | None:
+        """The index of the member with these (Fraction) coordinates, or None."""
+        return self.index.get(self.ints(coords))
 
 
 def _string_spans(alpha: tuple[int, ...], coords) -> list:
@@ -259,10 +264,6 @@ class FiniteRootSet:
     _strings: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
-    # kind per member, filled lazily
-    _kinds: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
 
     @cached_property
     def members(self) -> frozenset[Root]:
@@ -288,33 +289,29 @@ class FiniteRootSet:
         i = self._view.find(r.coords)
         return self.basis.form(r, r) if i is None else self._view.table[i][i]
 
-    def is_orthogonal_to_all(self, r: Root) -> bool:
-        i = self._view.find(r.coords)
-        if i is None:
-            return all(self.basis.form(r, s).is_zero() for s in self.roots)
-        return all(v.is_zero() for v in self._view.table[i])
+    @cached_property
+    def kinds(self) -> tuple[str, ...]:
+        """Each member's kind, in ``roots`` order, read off the pairing table."""
+        view = self._view
+        return tuple(
+            KIND_ZERO if not any(x)
+            else KIND_IMAGINARY if all(v.is_zero() for v in row)
+            else KIND_NONSINGULAR if row[i].is_zero()
+            else KIND_REAL
+            for i, (x, row) in enumerate(zip(view.coords, view.table))
+        )
 
     def kind(self, r: Root) -> str:
-        kind = self._kinds.get(r)
-        if kind is None:
-            if r not in self.members:
-                raise NotARoot(f"{r} is not a member")
-            if r.is_zero_vector():
-                kind = KIND_ZERO
-            elif self.is_orthogonal_to_all(r):
-                kind = KIND_IMAGINARY
-            elif not self.norm(r).is_zero():
-                kind = KIND_REAL
-            else:
-                kind = KIND_NONSINGULAR
-            self._kinds[r] = kind
-        return kind
+        i = self._view.find(r.coords)
+        if i is None or r.k or r.sigma:
+            raise NotARoot(f"{r} is not a member")
+        return self.kinds[i]
 
     def real_roots(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.nonzero if self.kind(r) == KIND_REAL)
+        return tuple(r for r, kind in zip(self.roots, self.kinds) if kind == KIND_REAL)
 
     def nonsingular_roots(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.nonzero if self.kind(r) == KIND_NONSINGULAR)
+        return tuple(r for r, kind in zip(self.roots, self.kinds) if kind == KIND_NONSINGULAR)
 
     def _spans(self, alpha: Root) -> list:
         """Each member's (p, q) on its alpha-string, or its broken-string
@@ -663,7 +660,7 @@ def check_supersystem_axioms(rs: FiniteRootSet, samples: tuple[Q, ...] = ()) -> 
     bad_b = [r for r, x in zip(roots, view.coords) if tuple(-c for c in x) not in view.index]
     results.append(AxiomResult("b", not bad_b, "" if not bad_b else f"missing -{bad_b[0]}"))
 
-    kinds = [rs.kind(r) for r in roots]
+    kinds = rs.kinds
 
     # (c) integrality of pairings against real roots, and (d) unbroken
     # strings through real roots with p - q matching the pairing.

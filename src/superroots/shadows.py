@@ -233,7 +233,7 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
     scan over window pairs: alpha outer, beta inner, ``sum`` before ``sum2``.
     """
     system = shadow.system
-    entries = system.line_entries
+    lines, entries = system.lines, system.line_entries
     names: dict[tuple[int, int], str] = {}  # window roots recur across violations
     ln_at: dict[int, IntegerSet] = {}  # ln levels per real line position
 
@@ -241,8 +241,7 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
         """The rendering of level k on the line at ``pos`` in ``system.lines``."""
         name = names.get((pos, k))
         if name is None:
-            line = system.lines[pos]
-            name = names[pos, k] = system.format(Root(line.coords, k, line.sigma))
+            name = names[pos, k] = system.format(lines[pos].shift(k))
         return name
 
     def ln(pos: int) -> IntegerSet:
@@ -253,23 +252,19 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
             got = ln_at[pos] = shadow.colouring(rep).ln_set(side)
         return got
 
-    def root_at(pos: int, k: int) -> Root:
-        line = system.lines[pos]
-        return Root(line.coords, k, line.sigma)
-
     window = range(-kmax, kmax + 1)
     classes = [
         (p, q) for rep, p, q in system.real_class_lines
         if class_filter is None or rep in class_filter
     ]
-    lines = []  # (real line position, its ln levels in the window)
+    real = []  # (real line position, its ln levels in the window)
     for pair in classes:
         for pos in pair:
-            lines.append((pos, [k for k in window if k in ln(pos)]))
+            real.append((pos, [k for k in window if k in ln(pos)]))
     rows = []
-    for pa, ka in lines:
+    for pa, ka in real:
         row = []
-        for pb, kb in lines:
+        for pb, kb in real:
             if not ka or not kb:
                 continue
             laws = []
@@ -284,9 +279,9 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
                 row.append((pb, kb, laws))
         rows.append(row)
     violations: list[Violation] = []
-    for (pa, ka), row in zip(lines, rows):
+    for (pa, ka), row in zip(real, rows):
         for i in ka:
-            alpha = root_at(pa, i)
+            alpha = lines[pa].shift(i)
             for pb, kb, laws in row:
                 for j in kb:
                     for law, m, pt, ln_t in laws:
@@ -296,13 +291,13 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
                             Violation(
                                 law,
                                 alpha,
-                                root_at(pb, j),
-                                root_at(pt, i + m * j),
+                                lines[pb].shift(j),
+                                lines[pt].shift(i + m * j),
                                 f"{fmt(pa, i)} , {fmt(pb, j)} are ln but {fmt(pt, i + m * j)} is in",
                             )
                         )
     # scale consistency between the f and 2f lines
-    zero = system.line_positions[system.zero_root]
+    zero = system.entry(system.zero_root).pos
     for pair in classes:
         doubled = [system.line_sum(zero, p, 2) for p in pair]
         if doubled[0] is None or entries[doubled[0]].kind0 != KIND_REAL:
@@ -314,9 +309,9 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
                     violations.append(
                         Violation(
                             "scale",
-                            root_at(p, k),
+                            lines[p].shift(k),
                             None,
-                            root_at(p2, 2 * k),
+                            lines[p2].shift(2 * k),
                             f"{fmt(p, k)} and {fmt(p2, 2 * k)} disagree",
                         )
                     )

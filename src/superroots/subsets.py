@@ -1,11 +1,11 @@
 """Subsets of a loop system described line by line, and their decomposition.
 
 A subset stores, for every (finite vector, sigma) line of its system, the
-exact set of delta-levels it contains.  ``RootSubset.of`` is the boundary:
-it keys each level set by the system line it names and raises NotARoot for
-anything else, so the checks below only meet system lines.  That makes
-symmetry, covering, properness and closure (``_closure_gaps``, which every
-closure check reads) exact on whole lines rather than sampled.
+exact set of delta-levels it contains, keyed by the line's position in
+``system.lines``.  ``RootSubset.of`` is the way in: it maps each key to the
+line it names and raises NotARoot for anything else.  That makes symmetry,
+covering, properness and closure (``_closure_gaps``, which every closure
+check reads) exact on whole lines rather than sampled.
 
 ``decompose`` splits the even part of such a subset into the loop
 extensions of the orthogonality components of its finite core, which is
@@ -14,6 +14,7 @@ the shape the parabolic construction consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .affine import AffineRootSystem
 from .errors import (
@@ -27,10 +28,15 @@ from .intsets import IntegerSet
 from .roots import EVEN, KIND_REAL, Root
 
 
+_EMPTY = IntegerSet.empty()
+
+
 @dataclass(frozen=True, eq=False)
 class RootSubset:
     system: AffineRootSystem
-    lines: dict  # line id (k=0 Root) -> IntegerSet
+    #: position in ``system.lines`` -> its non-empty levels, positions increasing;
+    #: only ``of`` and the subsets derived below fill it
+    _at: dict[int, IntegerSet]
 
     @staticmethod
     def of(system: AffineRootSystem, mapping) -> "RootSubset":
@@ -41,125 +47,118 @@ class RootSubset:
         merged by union, and empty level sets are dropped.  Raises NotARoot
         for a key with k != 0 or on no line of the system.
         """
-        where, lines = system.line_positions, system.lines
-        clean = {}
+        at = {}
         for key, ks in mapping.items():
-            if key not in where:
-                e = None if key.k else system.entry(key)
-                if e is None:
-                    raise NotARoot(f"{key} names no line of {system.token}")
-                key = lines[e.pos]
+            e = None if key.k else system.entry(key)
+            if e is None:
+                raise NotARoot(f"{key} names no line of {system.token}")
             if not ks.is_empty():
-                clean[key] = clean[key].union(ks) if key in clean else ks
-        return RootSubset(system, clean)
+                at[e.pos] = at[e.pos].union(ks) if e.pos in at else ks
+        return RootSubset(system, dict(sorted(at.items())))
 
-    def levels(self, line: Root) -> IntegerSet:
-        return self.lines.get(line, IntegerSet.empty())
+    @property
+    def lines(self) -> MappingProxyType:
+        """A read-only view: line ``Root`` -> levels, in position order."""
+        lines = self.system.lines
+        return MappingProxyType({lines[pos]: ks for pos, ks in self._at.items()})
 
-    def levels_through(self, r: Root) -> IntegerSet:
+    def by_position(self):
+        """(position in ``system.lines``, levels) per line met, in position order."""
+        return self._at.items()
+
+    def levels_at(self, pos: int) -> IntegerSet:
+        """The levels on the line at ``pos`` in ``system.lines``."""
+        return self._at.get(pos, _EMPTY)
+
+    def levels(self, r: Root) -> IntegerSet:
         """The levels on the line through ``r``; empty off the system."""
         e = self.system.entry(r)
-        return IntegerSet.empty() if e is None else self.levels(self.system.lines[e.pos])
+        return _EMPTY if e is None else self._at.get(e.pos, _EMPTY)
 
     def contains(self, r: Root) -> bool:
-        return r.k in self.levels_through(r)
+        return r.k in self.levels(r)
 
     def __contains__(self, r: Root) -> bool:
         return self.contains(r)
 
-    # The derived subsets below are keyed by system lines already, and every
-    # level set in them is non-empty, so they skip ``of``.
+    # The derived subsets below keep every level set non-empty and the
+    # positions increasing, so they skip ``of``.
 
     def negated(self) -> "RootSubset":
-        return RootSubset(self.system, {-line: ks.negate() for line, ks in self.lines.items()})
+        neg = self.system.line_negation
+        at = sorted((neg[pos], ks.negate()) for pos, ks in self._at.items())
+        return RootSubset(self.system, dict(at))
 
     def union(self, other: "RootSubset") -> "RootSubset":
-        out = dict(self.lines)
-        for line, ks in other.lines.items():
-            out[line] = out[line].union(ks) if line in out else ks
-        return RootSubset(self.system, out)
+        out = dict(self._at)
+        for pos, ks in other._at.items():
+            out[pos] = out[pos].union(ks) if pos in out else ks
+        return RootSubset(self.system, dict(sorted(out.items())))
 
     def same_as(self, other: "RootSubset") -> bool:
-        return self.lines == other.lines
+        return self._at == other._at
 
     def is_symmetric(self) -> bool:
         return self.same_as(self.negated())
 
     def mirrored(self) -> "RootSubset":
         """The k -> -k image."""
-        return RootSubset(self.system, {line: ks.negate() for line, ks in self.lines.items()})
+        return RootSubset(self.system, {pos: ks.negate() for pos, ks in self._at.items()})
 
     def window_members(self, kmax: int) -> tuple[Root, ...]:
-        out = []
-        for line in sorted(self.lines, key=lambda r: r.key()):
-            ks = self.lines[line]
-            for k in range(-kmax, kmax + 1):
-                if k in ks:
-                    out.append(Root(line.coords, k, line.sigma))
-        return tuple(out)
+        lines, window = self.system.lines, range(-kmax, kmax + 1)
+        return tuple(lines[pos].shift(k) for pos, ks in self._at.items() for k in window if k in ks)
 
     def closure_violations(self, kmax: int) -> list[tuple[Root, Root, Root]]:
         """Windowed violations of (S + S) intersect R subset-of S, in the
         order of a scan over ``window_members(kmax)`` squared; window levels
         are walked only on the pairs of lines ``_closure_gaps`` flags."""
-        gaps = sorted(_closure_gaps(self), key=_scan_order)
+        gaps = list(_closure_gaps(self))
         if not gaps:
             return []
+        lines = self.system.lines
         window = range(-kmax, kmax + 1)
-        levels = {line: [k for k in window if k in ks] for line, ks in self.lines.items()}
+        levels = {pos: [k for k in window if k in ks] for pos, ks in self._at.items()}
         rows = {}
-        for fa, fb, t in gaps:
-            rows.setdefault(fa, []).append((fb, levels[fb], t, self.levels(t)))
+        for a, b, t in gaps:
+            rows.setdefault(a, []).append((lines[b], levels[b], lines[t], self.levels_at(t)))
         out = []
-        for la, row in rows.items():
-            for i in levels[la]:
-                a = Root(la.coords, i, la.sigma)
-                for lb, kb, t, have in row:
+        for a, row in rows.items():
+            for i in levels[a]:
+                alpha = lines[a].shift(i)
+                for lb, kb, lt, have in row:
                     for j in kb:
                         if i + j not in have:
-                            out.append((a, Root(lb.coords, j, lb.sigma), Root(t.coords, i + j, t.sigma)))
+                            out.append((alpha, lb.shift(j), lt.shift(i + j)))
         return out
 
     def even_part(self) -> "RootSubset":
-        keep = {line: ks for line, ks in self.lines.items() if self.system.parity(line) == EVEN}
+        entries = self.system.line_entries
+        keep = {pos: ks for pos, ks in self._at.items() if entries[pos].parity == EVEN}
         return RootSubset(self.system, keep)
 
 
-def _scan_order(gap: tuple[Root, Root, Root]) -> tuple:
-    """Line triples by their first line, then their second, in ``Root.key`` order."""
-    return gap[0].key(), gap[1].key()
-
-
 def _closure_gaps(P: RootSubset, S: RootSubset | None = None):
-    """Yield (f_a, f_b, t) for each pair of P's lines whose sum lies on a
-    line t (of S, when given) where P_a + P_b, cut to S_t when S is given,
-    is not a subset of P_t: exact Minkowski sums, no window.  Raises
-    NotARoot for a key on no system line (a subset built without ``of``).
+    """Yield (a, b, t), positions in ``system.lines``, for each pair of P's
+    lines whose sum lies on a line t (of S, when given) where P_a + P_b, cut
+    to S_t when S is given, is not a subset of P_t: exact Minkowski sums, no
+    window.  Pairs come in position order, first line then second.
     """
-    system = P.system
-    where = system.line_positions
-
-    def position(line: Root) -> int:
-        if line not in where:
-            raise NotARoot(f"{line} is not a line of {system.token}")
-        return where[line]
-
-    items = [(fa, ka, position(fa)) for fa, ka in P.lines.items()]
-    have_at = {pa: ka for _, ka, pa in items}
-    need_at = None if S is None else {position(line): ks for line, ks in S.lines.items()}
-    empty = IntegerSet.empty()
-    for fa, ka, pa in items:
-        for fb, kb, pb in items:
-            pt = system.line_sum(pa, pb)
-            if pt is None:
+    line_sum = P.system.line_sum
+    have = P._at
+    need = None if S is None else S._at
+    for a, ka in have.items():
+        for b, kb in have.items():
+            t = line_sum(a, b)
+            if t is None:
                 continue
             reach = ka + kb
-            if need_at is not None:
-                if pt not in need_at:
+            if need is not None:
+                if t not in need:
                     continue
-                reach = reach.intersect(need_at[pt])
-            if not reach.is_subset(have_at.get(pt, empty)):
-                yield fa, fb, system.lines[pt]
+                reach = reach.intersect(need[t])
+            if not reach.is_subset(have.get(t, _EMPTY)):
+                yield a, b, t
 
 
 def full_lines_subset(system: AffineRootSystem, finite_vectors, include_imaginary: bool = True) -> RootSubset:
@@ -173,14 +172,8 @@ def full_lines_subset(system: AffineRootSystem, finite_vectors, include_imaginar
 
 
 def even_subset(system: AffineRootSystem) -> RootSubset:
-    """The whole even part as a line subset."""
-    mapping = {system.zero_root: IntegerSet.all()}
-    for line in system.lines:
-        if line == system.zero_root:
-            continue
-        if system.parity(line) == EVEN:
-            mapping[line] = IntegerSet.all()
-    return RootSubset.of(system, mapping)
+    """The whole even part as a line subset (the zero line is even)."""
+    return RootSubset(system, {e.pos: IntegerSet.all() for e in system.line_entries if e.parity == EVEN})
 
 
 @dataclass(frozen=True)
@@ -237,7 +230,7 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
     """
     if not subset.is_symmetric():
         raise HypothesisViolated("subset is not symmetric")
-    gaps = sorted(_closure_gaps(subset), key=_scan_order)
+    gaps = list(_closure_gaps(subset))
     if gaps:
         bad = subset.closure_violations(kmax)
         if bad:
@@ -246,55 +239,43 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
                 f"subset not closed: {system.format(a)} + {system.format(b)} = {system.format(s)} missing",
                 witness=s,
             )
-    s0 = subset.even_part()
-    core_vectors = []
-    for line, ks in s0.lines.items():
-        if line == system.zero_root:
+    lines, entries = system.lines, system.line_entries
+    zero = system.entry(system.zero_root).pos
+    core_lines = [zero]
+    for pos, ks in subset.even_part().by_position():
+        if pos == zero:
             continue
         gap = _missing_level(ks, kmax)
         if gap is not None:
             raise HypothesisViolated(
-                f"even line {system.format(line)} only partially present",
-                witness=Root(line.coords, gap, line.sigma),
+                f"even line {system.format(lines[pos])} only partially present",
+                witness=lines[pos].shift(gap),
             )
-        core_vectors.append(Root(line.coords))
-    if not any(
-        system.classify(Root(v.coords)) == KIND_REAL for v in core_vectors
-    ):
+        core_lines.append(pos)
+    if not any(entries[pos].kind == KIND_REAL for pos in core_lines):
         raise HypothesisViolated("the even part carries no real lines")
-    zero = system.zero_root
-    members = tuple(sorted(set(core_vectors) | {zero}, key=lambda r: r.key()))
+    # even lines carry sigma = 0, so each is its finite vector
+    members = tuple(lines[pos] for pos in sorted(core_lines))
     core = FiniteRootSet(
         FiniteTypeId("PURE"), system.basis, members, frozenset(), label="core"
     )
     for v in core.nonzero:
         if core.kind(v) != KIND_REAL:
-            raise NotAFiniteRootSystem(
-                f"core vector {system.format(v)} is not real"
-            )
+            raise NotAFiniteRootSystem(f"core vector {system.format(v)} is not real")
     report = check_supersystem_axioms(core)
     if not report.passed:
-        raise NotAFiniteRootSystem(
-            f"core fails axioms {','.join(report.failed_axioms)}"
-        )
+        raise NotAFiniteRootSystem(f"core fails axioms {','.join(report.failed_axioms)}")
     if gaps:
-        fa, fb, t = gaps[0]
+        fa, fb, t = (lines[pos] for pos in gaps[0])
         raise HypothesisViolated(
             f"subset not closed: lines {system.format(fa)} + {system.format(fb)} reach levels of "
             f"{system.format(t)} it lacks, none with |k| <= {kmax}",
-            witness=gaps[0],
+            witness=(fa, fb, t),
         )
-    comps = []
-    for idx, dot in enumerate(irreducible_components(core)):
-        vectors = dot.nonzero
-        comps.append(
-            Component(
-                idx + 1,
-                dot,
-                vectors,
-                full_lines_subset(system, vectors),
-            )
-        )
+    comps = [
+        Component(idx + 1, dot, dot.nonzero, full_lines_subset(system, dot.nonzero))
+        for idx, dot in enumerate(irreducible_components(core))
+    ]
     return Decomposition(system, subset, core, comps)
 
 
@@ -356,15 +337,16 @@ def check_parabolic(P: RootSubset, S: RootSubset, kmax: int) -> ParabolicCheck:
     is reported as the line triple (f_a, f_b, t).  The verdict reads no
     window: ``kmax`` stays in the signature for callers that pass one.
     """
-    additive = tuple(_closure_gaps(P, S))
+    lines = P.system.lines
+    additive = tuple((lines[a], lines[b], lines[t]) for a, b, t in _closure_gaps(P, S))
     covering = []
     neg = P.negated()
-    for line, ks in S.lines.items():
-        got = P.levels(line).union(neg.levels(line))
+    for pos, ks in S.by_position():
+        got = P.levels_at(pos).union(neg.levels_at(pos))
         if got != ks:
-            covering.append((line, got, ks))
-    for line in P.lines:
-        if line not in S.lines:
-            covering.append((line, P.levels(line), IntegerSet.empty()))
+            covering.append((lines[pos], got, ks))
+    for pos, ks in P.by_position():
+        if pos not in S._at:
+            covering.append((lines[pos], ks, _EMPTY))
     proper = not P.same_as(S)
     return ParabolicCheck(additive, tuple(covering), proper)

@@ -271,13 +271,12 @@ def classification_report(system, kmax: int) -> list[str]:
         return problems
     # each line's entry against the tables, once per line
     wanted = {}  # position of a mismatching line -> the entry the tables give it
-    for line in system.lines:
+    for line, e in zip(system.lines, system.line_entries):
         if line == zero_line:
             kind0, kind, parity = KIND_ZERO, KIND_IMAGINARY, EVEN
         else:
             kind0 = kind = KIND_REAL if line in golden.real else KIND_NONSINGULAR
             parity = EVEN if line in golden.even else ODD
-        e = system.line_index[line.coords, line.sigma]
         want = e._replace(kind0=kind0, kind=kind, parity=parity)
         if want != e:
             wanted[e.pos] = want

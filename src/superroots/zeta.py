@@ -136,8 +136,8 @@ def _strictly_positive(P: RootSubset, r: Root) -> bool:
 class _StartBase(NamedTuple):
     """What the base walk needs of a component, whatever the parabolic."""
 
-    lines: tuple[Root, ...]  # the level-0 line of each component vector, in key order
-    opposite: tuple[int, ...]  # the index of -f, per line f
+    lines: tuple[int, ...]  # the position of each component vector's line, increasing
+    opposite: tuple[int, ...]  # the index in ``lines`` of -f, per line f
     columns: tuple[tuple[int, ...], ...]  # columns[j][i] = A[i][j] over the start base
     marks: tuple[int, ...]  # delta's coordinates over the start base
     xs: tuple[tuple[int, ...], ...]  # each line's coordinates over the start base
@@ -149,8 +149,8 @@ def _start_base(system: AffineRootSystem, comp: Component) -> _StartBase:
     theta, _ = highest_root(comp.dot, dot_base)
     start = dot_base + (system.delta - theta,)
     fac = factor_roots(start)
-    lines = tuple(sorted((Root(f.coords, 0, f.sigma) for f in comp.vectors), key=Root.key))
-    solved = [fac.solve(r.vector()) for r in (system.delta,) + lines]
+    lines = tuple(sorted(system.entry(f).pos for f in comp.vectors))
+    solved = [fac.solve(r.vector()) for r in (system.delta, *(system.lines[p] for p in lines))]
     if None in solved or any(x.denominator != 1 for xs in solved for x in xs) or min(solved[0]) <= 0:
         raise NotAFiniteRootSystem(
             f"component {comp.index}: no positive integral marks and integral lines "
@@ -159,7 +159,7 @@ def _start_base(system: AffineRootSystem, comp: Component) -> _StartBase:
     marks, *xs = solved
     return _StartBase(
         lines,
-        tuple(lines.index(-f) for f in lines),
+        tuple(lines.index(system.line_negation[p]) for p in lines),
         tuple(tuple(system.cartan(b, a) for b in start) for a in start),
         tuple(int(m) for m in marks),
         tuple(tuple(int(x) for x in line) for line in xs),
@@ -208,17 +208,17 @@ def select_base(
     if start is None:
         start = _start_base(system, comp)
         object.__setattr__(comp, "_zeta_start", start)
-    levels = [P.levels(line) for line in start.lines]
-    for line, ks in zip(start.lines, levels):
+    levels = [P.levels_at(pos) for pos in start.lines]
+    for pos, ks in zip(start.lines, levels):
         if ks.up is None and not ks.is_all:
             raise NoCompatibleBase(
                 f"no compatible shifted base for component {comp.index}: "
-                f"P holds no up-ray on {system.format(line)}"
+                f"P holds no up-ray on {system.format(system.lines[pos])}"
             )
-    for line, ks in zip(start.lines, levels):
+    for pos, ks in zip(start.lines, levels):
         if ks.is_all:
             raise CaseMismatch(
-                f"component {comp.index}: P holds every level of {system.format(line)}, "
+                f"component {comp.index}: P holds every level of {system.format(system.lines[pos])}, "
                 "so no least level bounds the base search"
             )
     lo = [ks.up for ks in levels]
@@ -235,7 +235,7 @@ def select_base(
     while stack:
         xs, ths = stack.pop()
         if all(th >= a for th, a in zip(ths, lo)):
-            fs, js = [], []  # the base's lines in key order, and their positions
+            fs, js = [], []  # the base's lines (indices into start.lines), their places in it
             for f, (x, th) in enumerate(zip(xs, ths)):
                 coords = [xi + th * m for xi, m in zip(x, marks)]
                 if sum(coords) == 1:
@@ -262,7 +262,7 @@ def select_base(
             f"no compatible shifted base for component {comp.index}", searched=len(seen)
         )
     (_, key), js, i, t, u = best
-    elements = tuple(start.lines[f].shift(th) for f, th in key)
+    elements = tuple(system.lines[start.lines[f]].shift(th) for f, th in key)
     return BaseChoice(elements, tuple(marks[j] for j in js), i, t, u)
 
 
@@ -389,14 +389,16 @@ def verify_zeta(
       of the functional, exactly on every line of S,
     * on members of S in the window |k| <= kmax, the functional's own sign
       agrees with membership in that union (the first disagreement only),
-    * when a shadow is supplied: strictly positive real members in the
-      window are ln and strictly negative ones are in.
+    * when a shadow is supplied: strictly positive real members are ln
+      and strictly negative ones are in, at every level.
 
     Each line of S is decided once, from the functional's value c + k*w
     on it and the levels where it meets the span (``on_line``).  Window
     levels are enumerated only on a line that fails, to list its
     witnesses in the order of a scan over ``S.window_members(kmax)``;
-    ``tests/test_pair_scans.py`` checks the result against that scan.
+    ``tests/test_pair_scans.py`` checks the result against that scan.  A
+    line that fails the shadow check with no witness in the window is
+    named itself.
     """
     func = result.functional
     problems: list[str] = []
@@ -410,56 +412,61 @@ def verify_zeta(
     for zc in result.components[1:]:
         P = P.union(zc.parabolic)
     window = range(-kmax, kmax + 1)
-    spans = {}  # line -> (c, w, levels of S on it that lie in the span)
-    for line, ks in S.lines.items():
+    lines, entries = sysm.lines, sysm.line_entries
+    spans = {}  # position -> (c, w, levels of S on its line that lie in the span)
+    for pos, ks in S.by_position():
+        line = lines[pos]
         try:
             c, w, span = func.on_line(line)
         except BasisMismatch:
             span = IntegerSet.empty()
         else:
-            spans[line] = (c, w, ks.intersect(span))
+            spans[pos] = (c, w, ks.intersect(span))
         if 0 not in span:
             problems.append(f"line {sysm.format(line)} outside the functional span")
             continue
         want = IntegerSet.where_nonnegative(c, zd)
-        got = P.levels(line)
+        got = P.levels_at(pos)
         if want != got:
             problems.append(
                 f"line {sysm.format(line)}: cone gives {want}, parabolic union gives {got}"
             )
-    ordered = sorted(S.lines, key=Root.key)  # the order of S.window_members
 
     def membership_witnesses():
-        for line in ordered:
-            if line not in spans:
-                continue
-            c, w, live = spans[line]
-            inside = P.levels(line)
+        # positions increase, as in S.window_members
+        for pos, (c, w, live) in spans.items():
+            inside = P.levels_at(pos)
             if live.intersect(IntegerSet.where_nonnegative(c, w)) == live.intersect(inside):
                 continue
             for k in window:
                 if k in live and (c + k * w >= 0) != (k in inside):
-                    yield Root(line.coords, k, line.sigma)
+                    yield lines[pos].shift(k)
 
     r = next(membership_witnesses(), None)
     if r is not None:
         problems.append(f"{sysm.format(r)}: value {func.value(r)} vs membership {P.contains(r)}")
     if shadow is not None:
-        for line in ordered:
-            if line not in spans or sysm.line_index[line.coords, line.sigma].kind != KIND_REAL:
+        for pos, (c, w, live) in spans.items():
+            if entries[pos].kind != KIND_REAL:
                 continue
-            c, w, live = spans[line]
+            line = lines[pos]
             ln = shadow.ln_levels(line)
             positive = live.intersect(IntegerSet.where_positive(c, w))
             negative = live.intersect(IntegerSet.where_positive(-c, -w))
             if positive.is_subset(ln) and negative.intersect(ln).is_empty():
                 continue
+            before = len(problems)
             for k in window:
-                r = Root(line.coords, k, line.sigma)
+                r = line.shift(k)
                 if k in positive and k not in ln:
                     problems.append(f"{sysm.format(r)}: positive but not ln")
                 if k in negative and k in ln:
                     problems.append(f"{sysm.format(r)}: negative but not in")
+            if len(problems) == before:
+                problems.append(
+                    f"line {sysm.format(line)}: signs disagree with the shadow, "
+                    f"none with |k| <= {kmax}"
+                )
     return problems
 
 

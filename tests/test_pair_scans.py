@@ -538,7 +538,8 @@ def test_parabolic_fallback_matches_windowed_scan(token):
                 sys_, {**random_subset(sys_, rng, lines).lines, lines[0]: IntegerSet.of(0, 2)}
             )
             assert exact_additive(P, within) == windowed_line_triples(P, within)
-            assert set(_closure_gaps(P)) == windowed_line_triples(P, None)
+            gaps = {tuple(sys_.lines[pos] for pos in gap) for gap in _closure_gaps(P)}
+            assert gaps == windowed_line_triples(P, None)
 
 
 def test_parabolic_fallback_on_partial_lines():

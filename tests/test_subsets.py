@@ -276,14 +276,11 @@ def test_decompose_rejects_a_subset_closed_only_inside_the_window():
     assert (Root(s.zero_root.coords, 1), Root(f.coords, 20), Root(f.coords, 21)) in wide
 
 
-def test_closure_checks_name_a_key_off_the_system():
+def test_of_refuses_a_key_off_the_system():
     s = b11()
     stray = Root((Q(1), Q(3)), 0, 0)  # e1 + 3d1
-    sub = RootSubset(s, {stray: IntegerSet.of(0), s.zero_root: IntegerSet.all()})
-    with pytest.raises(NotARoot, match="not a line of B,1,1"):
-        sub.closure_violations(3)
-    with pytest.raises(NotARoot, match="not a line of B,1,1"):
-        check_parabolic(sub, even_subset(s), 3)
+    with pytest.raises(NotARoot, match="names no line of B,1,1"):
+        RootSubset.of(s, {stray: IntegerSet.of(0), s.zero_root: IntegerSet.all()})
 
 
 @pytest.mark.parametrize(

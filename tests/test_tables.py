@@ -31,11 +31,12 @@ def test_report_flags_planted_mismatch():
     """Sanity check that the comparator can actually fail, and that it names
     every window root of the offending line, kind before parity."""
     system = build_affine(parse_type_token("B,1,1"))
-    d1 = root(0, 1)
-    key = (d1.coords, 0)
-    assert system.line_index[key].parity == "odd"
+    entries = list(system.line_entries)
+    pos = system.entry(root(0, 1)).pos  # d1
+    assert entries[pos].parity == "odd"
     # plant the mismatch in the line's entry: its parity everywhere, its kind at k = 0
-    system.line_index[key] = system.line_index[key]._replace(parity="even", kind0="nonsingular")
+    entries[pos] = entries[pos]._replace(parity="even", kind0="nonsingular")
+    vars(system)["line_entries"] = tuple(entries)
     problems = classification_report(system, 2)
     assert problems == [
         "d1-2d: parity even != odd",

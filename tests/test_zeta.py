@@ -38,7 +38,7 @@ from superroots.errors import (
 from superroots.finite import parse_type_token
 from superroots.intsets import IntegerSet
 from superroots.roots import Root, root
-from superroots.shadows import DOWN, UP, Shadow
+from superroots.shadows import DOWN, UP, Shadow, hybrid_class
 from superroots.subsets import (
     Component,
     RootSubset,
@@ -874,6 +874,45 @@ def test_verify_detects_parabolic_mismatch():
     )
     problems = verify_zeta(swapped, subset, 6)
     assert any("cone gives" in p for p in problems)
+
+
+def test_verify_names_a_shadow_line_that_fails_outside_the_window():
+    s = b11()
+    subset, dec, table, parabolics = setup_system(s, [(0, 0), (0, 1)])
+    result = construct_zeta(s, dec.components, parabolics, UP)
+    assert verify_zeta(result, subset, 0, shadow=Shadow(s, table)) == []
+    # e1 turns ln from level 2 instead of 1, so e1+d is the first disagreement
+    rep = root(-1, 0)
+    shifted = Shadow(s, {**table, rep: hybrid_class(rep, UP, 0, -1)})
+    assert verify_zeta(result, subset, 0, shadow=shifted) == [
+        "line e1: signs disagree with the shadow, none with |k| <= 0"
+    ]
+    assert verify_zeta(result, subset, 1, shadow=shifted) == ["e1+d: positive but not ln"]
+
+
+@pytest.mark.parametrize("direction", [UP, DOWN])
+@pytest.mark.parametrize("token", ["B,1,1", "D21L", "A,2,2"])
+def test_zeta_hashes_no_root(token, direction, monkeypatch):
+    """Warm construct_zeta and verify_zeta read lines by position: no
+    ``Root`` is hashed, so no ``Fraction`` coordinate either."""
+    s = build_affine(parse_type_token(token))
+    subset, dec, _, parabolics = setup_system(s, [(0, 1)] * 3, direction)  # <= 3 components
+    construct_zeta(s, dec.components, parabolics, direction)  # memoises the start bases
+    calls = []
+    root_hash = Root.__hash__
+
+    def counted(r):
+        calls.append(r)
+        return root_hash(r)
+
+    monkeypatch.setattr(Root, "__hash__", counted)
+    result = construct_zeta(s, dec.components, parabolics, direction)
+    assert calls == []
+    assert verify_zeta(result, subset, 6) == []
+    assert calls == []
+    # the counter does see a direct call
+    hash(s.delta)
+    assert calls == [s.delta]
 
 
 # -- serialisation ----------------------------------------------------------------
