@@ -38,7 +38,7 @@ class LineEntry(NamedTuple):
     kind0: str  # kind of the member at k = 0
     kind: str  # kind of the members at k != 0
     parity: str
-    real_class: tuple[Root, int] | None  # (rep, side) of a real line
+    real_class: tuple[int, int] | None  # (position of the rep's line, side) of a real line
 
     def kind_at(self, k: int) -> str:
         return self.kind0 if k == 0 else self.kind
@@ -115,7 +115,7 @@ class AffineRootSystem:
         A member's kind depends only on its line and on whether k = 0, and
         its parity on its line alone, so each line is classified once here.
         """
-        fin, lines, neg = self.finite, self.lines, self.line_negation
+        fin, neg = self.finite, self.line_negation
         odd = {fin._view.find(r.coords) for r in fin.odd}
         out = []
         for pos, (key, i) in enumerate(self._line_keys):
@@ -128,7 +128,7 @@ class AffineRootSystem:
             real_class = None
             if kind == KIND_REAL:
                 # the rep is the side with the smaller key, so the earlier line
-                real_class = (lines[min(pos, neg[pos])], 1 if pos < neg[pos] else -1)
+                real_class = (min(pos, neg[pos]), 1 if pos < neg[pos] else -1)
             out.append(LineEntry(pos, kind0, kind, ODD if i in odd else EVEN, real_class))
         return tuple(out)
 
@@ -181,28 +181,35 @@ class AffineRootSystem:
         return Root(tuple(Q(0) for _ in range(self.basis.dim)), 0, 0)
 
     @cached_property
+    def zero_line(self) -> int:
+        """The position of the zero line, whose members are the multiples of delta."""
+        return self._line_at[(0,) * (self.basis.dim + 1)]
+
+    @cached_property
     def real_class_reps(self) -> tuple[Root, ...]:
         return tuple(rep for rep, _, _ in self.real_class_lines)
 
-    def class_rep(self, r: Root) -> tuple[Root, int]:
-        """Canonical class representative of a real member and the side.
-
-        Returns (rep, +1) when the finite part equals rep, (rep, -1) when
-        it equals -rep.  Raises NotRealRoot on anything non-real.
-        """
+    def real_entry(self, r: Root) -> LineEntry:
+        """The entry of a real member's line; raises NotRealRoot on anything non-real."""
         e = self._member_entry(r)
         if e.kind_at(r.k) != KIND_REAL:
             raise NotRealRoot(f"{r} is not a real member")
-        return e.real_class
+        return e
+
+    def class_rep(self, r: Root) -> tuple[Root, int]:
+        """Canonical class representative of a real member and the side:
+        (rep, +1) when the finite part is rep, (rep, -1) when it is -rep."""
+        rep, side = self.real_entry(r).real_class
+        return self.lines[rep], side
 
     @cached_property
     def real_class_lines(self) -> tuple[tuple[Root, int, int], ...]:
         """(rep, position of rep's line, position of -rep's line) per real
         class, in ``Root.key`` order of the reps."""
         return tuple(
-            (e.real_class[0], e.pos, self.line_negation[e.pos])
+            (self.lines[e.pos], e.pos, self.line_negation[e.pos])
             for e in self.line_entries
-            if e.real_class is not None and e.real_class[1] > 0
+            if e.real_class == (e.pos, 1)
         )
 
     @cached_property

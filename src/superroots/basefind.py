@@ -57,22 +57,28 @@ def factor_roots(roots: tuple[Root, ...]) -> Factor:
 
 def expand_in_base(base: tuple[Root, ...], target: Root) -> tuple[Q, ...] | None:
     """Coefficients of target over the base vectors, or None if outside."""
+    return _expansions(base, (target,))[0]
+
+
+def _expansions(base: tuple[Root, ...], targets) -> list[tuple[Q, ...] | None]:
+    """``expand_in_base`` for each target, the base factored once."""
     if not base:
-        return None
-    sol = factor_roots(base).solve(target.vector())
-    return None if sol is None else tuple(sol)
+        return [None for _ in targets]
+    fac = factor_roots(base)
+    return [None if (sol := fac.solve(t.vector())) is None else tuple(sol) for t in targets]
 
 
-def integer_expansion(base: tuple[Root, ...], target: Root) -> tuple[int, ...]:
-    coeffs = expand_in_base(base, target)
+def _integral(target: Root, coeffs: tuple[Q, ...] | None) -> tuple[int, ...]:
     if coeffs is None:
         raise OutsideSpan(f"{target} is not in the base span")
-    out = []
     for c in coeffs:
         if c.denominator != 1:
             raise NotAFiniteRootSystem(f"non-integral expansion coefficient {c}")
-        out.append(int(c))
-    return tuple(out)
+    return tuple(int(c) for c in coeffs)
+
+
+def integer_expansion(base: tuple[Root, ...], target: Root) -> tuple[int, ...]:
+    return _integral(target, expand_in_base(base, target))
 
 
 def highest_root(rs: FiniteRootSet, base: tuple[Root, ...] | None = None) -> tuple[Root, tuple[int, ...]]:
@@ -84,15 +90,11 @@ def highest_root(rs: FiniteRootSet, base: tuple[Root, ...] | None = None) -> tup
     if base is None:
         base = find_base(rs)
     pos = positive_roots(rs)
-    expansions = {r: integer_expansion(base, r) for r in pos}
-    best: Root | None = None
-    for r, cf in expansions.items():
-        if best is None or sum(cf) > sum(expansions[best]):
-            best = r
-    if best is None:
+    if not pos:
         raise NotAFiniteRootSystem("no positive roots")
-    top = expansions[best]
-    for r, cf in expansions.items():
+    expansions = [(r, _integral(r, cf)) for r, cf in zip(pos, _expansions(base, pos))]
+    best, top = max(expansions, key=lambda rc: sum(rc[1]))  # the first of the largest sum
+    for r, cf in expansions:
         if any(c > t for c, t in zip(cf, top)):
             raise NotAFiniteRootSystem(
                 f"no dominant root: {r} exceeds {best} in some coordinate"

@@ -33,6 +33,7 @@ from .errors import (
     SuperrootsError,
 )
 from .finite import build_finite, check_supersystem_axioms, parse_type_token
+from .intsets import IntegerSet
 from .roots import Root
 from .shadows import (
     DOWN,
@@ -42,9 +43,7 @@ from .shadows import (
     UP,
     ClassShadow,
     Shadow,
-    anchored_hybrid,
-    hybrid_class,
-    tight_class,
+    hybrid_sets,
     validate_shadow,
 )
 from .subsets import check_parabolic, component_parabolic, decompose, even_subset
@@ -86,9 +85,20 @@ def parse_root_expr(system: AffineRootSystem, text: str) -> Root:
     return system.canonicalize(Root(tuple(coords), int(k), int(sigma)))
 
 
+def _window(text: str) -> int:
+    """The type of every ``--window``: an integer K >= 0."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"expects an integer K >= 0, got {text!r}")
+    return k
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--type", required=True, help="type token, e.g. B,1,1 or d21l")
-    sub.add_argument("--window", type=int, default=5, help="delta window |k| <= K (default 5)")
+    sub.add_argument("--window", type=_window, default=5, help="delta window |k| <= K (default 5)")
     sub.add_argument(
         "--lambda",
         dest="lam",
@@ -180,21 +190,19 @@ def _cmd_axioms(parser, args) -> int:
 
 
 def _class_from_config(system: AffineRootSystem, anchor: Root, cfg: dict) -> ClassShadow:
+    """The colouring of ``anchor``'s class, with ``cfg`` read on anchor's side."""
     family = cfg.get("family")
     rep, side = system.class_rep(anchor)
-    if family == FULL_LN:
-        return tight_class(rep, True, True)
-    if family == FULL_IN:
-        return tight_class(rep, False, False)
-    if family == TIGHT:
-        plus = cfg["plus"] == "ln"
-        minus = cfg["minus"] == "ln"
-        if side < 0:
-            plus, minus = minus, plus
-        return tight_class(rep, plus, minus)
-    if family in (UP, DOWN):
-        return anchored_hybrid(system, anchor, family, int(cfg["m"]), int(cfg["t"]))
-    raise ValueError(f"unknown pattern family {family!r}")
+    full, none = IntegerSet.all(), IntegerSet.empty()
+    if family in (FULL_LN, FULL_IN):
+        plus = minus = full if family == FULL_LN else none
+    elif family == TIGHT:
+        plus, minus = (full if cfg[key] == "ln" else none for key in ("plus", "minus"))
+    elif family in (UP, DOWN):
+        plus, minus = hybrid_sets(family, int(cfg["m"]), int(cfg["t"]))
+    else:
+        raise ValueError(f"unknown pattern family {family!r}")
+    return ClassShadow(rep, plus, minus) if side > 0 else ClassShadow(rep, minus, plus)
 
 
 def _uniform_config(spec: str) -> dict:
@@ -402,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "zeta":
             sub.add_argument("--scenario", help="scenario name, e.g. d21l-case3")
             sub.add_argument("--list", action="store_true", help="list scenario names")
-            sub.add_argument("--window", type=int, default=5)
+            sub.add_argument("--window", type=_window, default=5)
         elif name == "axioms":
             # finite families only: no delta window and no lambda to read
             sub.add_argument("--type", required=True, help="finite type token, e.g. B,2,2 or S,2")

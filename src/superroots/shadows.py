@@ -17,6 +17,7 @@ Three laws are checked:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Q
 
 from .affine import AffineRootSystem
@@ -156,14 +157,13 @@ class ShadowReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def summary(self) -> str:
-        if self.passed:
-            return "consistent"
-        return f"{len(self.violations)} violation(s), first: {self.violations[0].detail}"
-
 
 @dataclass(frozen=True)
 class Shadow:
+    """``classes`` maps each real class's canonical rep (a ``Root``) to its
+    colouring.  It is read once, into one colouring per rep line position;
+    the readers below name a line by its position in ``system.lines``."""
+
     system: AffineRootSystem
     classes: dict
 
@@ -171,39 +171,54 @@ class Shadow:
     def of(system: AffineRootSystem, class_shadows) -> "Shadow":
         table = {}
         for cs in class_shadows:
+            if cs.rep in table:
+                raise NotAShadowPattern(f"class {system.format(cs.rep)} is coloured twice")
             table[cs.rep] = cs
-        missing = [r for r in system.real_class_reps if r not in table]
+        shadow = Shadow(system, table)
+        missing = [rep for rep, pos, _ in system.real_class_lines if pos not in shadow._by_rep]
         if missing:
             raise NotAShadowPattern(
                 f"classes without a colouring: {[system.format(r) for r in missing]}"
             )
-        return Shadow(system, table)
+        return shadow
 
-    def colouring(self, rep: Root) -> ClassShadow:
-        """The colouring of the class with canonical representative ``rep``."""
-        cs = self.classes.get(rep)
-        if cs is None:
-            raise NotAShadowPattern(f"class of {self.system.format(rep)} has no colouring")
-        return cs
+    @cached_property
+    def _by_rep(self) -> dict[int, ClassShadow]:
+        """Each class's colouring by its rep line's position; a key that is
+        no class's canonical rep colours nothing."""
+        lines, out = self.system.lines, {}
+        for rep, cs in self.classes.items():
+            e = self.system.entry(rep)
+            if e is not None and e.real_class == (e.pos, 1) and lines[e.pos] == rep:
+                out[e.pos] = cs
+        return out
 
-    def class_of(self, r: Root) -> tuple[ClassShadow, int]:
-        rep, side = self.system.class_rep(r)
-        return self.colouring(rep), side
+    def colouring_at(self, pos: int) -> tuple[ClassShadow, int]:
+        """The colouring of the real line at ``pos`` and the line's side of its class."""
+        rep, side = self.system.line_entries[pos].real_class
+        if rep not in self._by_rep:
+            raise NotAShadowPattern(
+                f"class of {self.system.format(self.system.lines[rep])} has no colouring"
+            )
+        return self._by_rep[rep], side
+
+    def ln_at(self, pos: int) -> IntegerSet:
+        """The ln levels of the real line at ``pos``."""
+        cs, side = self.colouring_at(pos)
+        return cs.ln_set(side)
 
     def is_ln(self, r: Root) -> bool:
-        cs, side = self.class_of(r)
-        return self.system.canonicalize(r).k in cs.ln_set(side)
+        return r.k in self.ln_levels(r)
 
     def is_in(self, r: Root) -> bool:
         return not self.is_ln(r)
 
     def ln_levels(self, finite_vector: Root) -> IntegerSet:
         """ln levels along a given real finite vector (either sign)."""
-        cs, side = self.class_of(finite_vector)
-        return cs.ln_set(side)
+        return self.ln_at(self.system.real_entry(finite_vector).pos)
 
     def in_levels(self, finite_vector: Root) -> IntegerSet:
-        cs, side = self.class_of(finite_vector)
+        cs, side = self.colouring_at(self.system.real_entry(finite_vector).pos)
         return cs.in_set(side)
 
     def mirrored(self) -> "Shadow":
@@ -212,11 +227,10 @@ class Shadow:
         )
 
     def config_json(self) -> dict:
-        classes = []
-        for rep in sorted(self.classes, key=lambda r: r.key()):
-            classes.append(
-                {"rep": self.system.format(rep), "config": self.classes[rep].config}
-            )
+        classes = [
+            {"rep": self.system.format(rep), "config": self.classes[rep].config}
+            for rep in sorted(self.classes, key=lambda r: r.key())
+        ]
         return {"system": self.system.token, "classes": classes}
 
 
@@ -234,8 +248,8 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
     """
     system = shadow.system
     lines, entries = system.lines, system.line_entries
+    ln = shadow.ln_at
     names: dict[tuple[int, int], str] = {}  # window roots recur across violations
-    ln_at: dict[int, IntegerSet] = {}  # ln levels per real line position
 
     def fmt(pos: int, k: int) -> str:
         """The rendering of level k on the line at ``pos`` in ``system.lines``."""
@@ -243,14 +257,6 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
         if name is None:
             name = names[pos, k] = system.format(lines[pos].shift(k))
         return name
-
-    def ln(pos: int) -> IntegerSet:
-        """The ln levels of the real line at ``pos``, resolved on first use."""
-        got = ln_at.get(pos)
-        if got is None:
-            rep, side = entries[pos].real_class
-            got = ln_at[pos] = shadow.colouring(rep).ln_set(side)
-        return got
 
     window = range(-kmax, kmax + 1)
     classes = [
@@ -287,34 +293,23 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
                     for law, m, pt, ln_t in laws:
                         if i + m * j in ln_t:
                             continue
-                        violations.append(
-                            Violation(
-                                law,
-                                alpha,
-                                lines[pb].shift(j),
-                                lines[pt].shift(i + m * j),
-                                f"{fmt(pa, i)} , {fmt(pb, j)} are ln but {fmt(pt, i + m * j)} is in",
-                            )
-                        )
+                        violations.append(Violation(
+                            law, alpha, lines[pb].shift(j), lines[pt].shift(i + m * j),
+                            f"{fmt(pa, i)} , {fmt(pb, j)} are ln but {fmt(pt, i + m * j)} is in",
+                        ))
     # scale consistency between the f and 2f lines
-    zero = system.entry(system.zero_root).pos
     for pair in classes:
-        doubled = [system.line_sum(zero, p, 2) for p in pair]
+        doubled = [system.line_sum(system.zero_line, p, 2) for p in pair]
         if doubled[0] is None or entries[doubled[0]].kind0 != KIND_REAL:
             continue
         for p, p2 in zip(pair, doubled):
             ln1, ln2 = ln(p), ln(p2)
             for k in window:
                 if (k in ln1) != (2 * k in ln2):
-                    violations.append(
-                        Violation(
-                            "scale",
-                            lines[p].shift(k),
-                            None,
-                            lines[p2].shift(2 * k),
-                            f"{fmt(p, k)} and {fmt(p2, 2 * k)} disagree",
-                        )
-                    )
+                    violations.append(Violation(
+                        "scale", lines[p].shift(k), None, lines[p2].shift(2 * k),
+                        f"{fmt(p, k)} and {fmt(p2, 2 * k)} disagree",
+                    ))
     return ShadowReport(tuple(violations))
 
 

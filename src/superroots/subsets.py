@@ -26,6 +26,7 @@ from .errors import (
 from .finite import FiniteRootSet, FiniteTypeId, check_supersystem_axioms, irreducible_components
 from .intsets import IntegerSet
 from .roots import EVEN, KIND_REAL, Root
+from .shadows import DOWN, UP
 
 
 _EMPTY = IntegerSet.empty()
@@ -240,10 +241,9 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
                 witness=s,
             )
     lines, entries = system.lines, system.line_entries
-    zero = system.entry(system.zero_root).pos
-    core_lines = [zero]
+    core_lines = [system.zero_line]
     for pos, ks in subset.even_part().by_position():
-        if pos == zero:
+        if pos == system.zero_line:
             continue
         gap = _missing_level(ks, kmax)
         if gap is not None:
@@ -289,18 +289,18 @@ def component_parabolic(
 
     ``class_shadows`` maps canonical class representatives to their
     colourings; every class referenced by the component must be hybrid in
-    the requested direction, otherwise NotUniformlyHybrid is raised.
+    the requested direction, otherwise NotUniformlyHybrid is raised.  The
+    table is read once per class, at the position of the rep's line.  A
+    hybrid side is a ray, so every level set is non-empty.
     """
-    from .shadows import DOWN, UP
-
     if direction not in (UP, DOWN):
         raise NotUniformlyHybrid(f"unknown direction {direction!r}")
-    mapping = {}
-    mapping[system.zero_root] = (
-        IntegerSet.at_least(0) if direction == UP else IntegerSet.at_most(0)
-    )
-    for f in comp.vectors:
-        rep, side = system.class_rep(f)
+    lines, entries, neg = system.lines, system.line_entries, system.line_negation
+    at = {system.zero_line: IntegerSet.at_least(0) if direction == UP else IntegerSet.at_most(0)}
+    for pos, _ in comp.subset.by_position():
+        if entries[pos].real_class != (pos, 1):
+            continue  # the zero line, or the negative side of a class
+        rep = lines[pos]
         cs = class_shadows.get(rep)
         if cs is None:
             raise NotUniformlyHybrid(f"class {system.format(rep)} has no colouring")
@@ -312,10 +312,9 @@ def component_parabolic(
             raise NotUniformlyHybrid(
                 f"class {system.format(rep)} is {got_direction or 'tight'}, wanted {direction}"
             )
-        ln_here = cs.ln_set(side)
-        in_opposite = cs.in_set(-side)
-        mapping[Root(f.coords, 0, f.sigma)] = ln_here.union(in_opposite.negate())
-    return RootSubset.of(system, mapping)
+        for p, side in ((pos, 1), (neg[pos], -1)):
+            at[p] = cs.ln_set(side).union(cs.in_set(-side).negate())
+    return RootSubset(system, dict(sorted(at.items())))
 
 
 @dataclass(frozen=True)

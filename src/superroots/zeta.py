@@ -36,7 +36,7 @@ from .intsets import IntegerSet
 # every module that imports it
 from .linalg import dot, solve  # noqa: F401
 from .roots import KIND_REAL, Root
-from .shadows import DOWN, UP
+from .shadows import DOWN, UP, hybrid_class
 from .subsets import Component, RootSubset
 
 
@@ -110,27 +110,22 @@ class BaseChoice:
     elements: tuple[Root, ...]
     marks: tuple[int, ...]  # delta-expansion coefficients, all >= 1
     a0_index: int  # index of the singled-out mark-1 element
-    t: int  # strictly-positive base elements among the rest
-    u: int  # 1 when the singled-out element is strictly positive
+    positive: tuple[bool, ...]  # whether each element lies in P but not -P
 
     @property
     def a0(self) -> Root:
         return self.elements[self.a0_index]
 
     @property
-    def rest(self) -> tuple[tuple[Root, int], ...]:
-        return tuple(
-            (e, m)
-            for i, (e, m) in enumerate(zip(self.elements, self.marks))
-            if i != self.a0_index
-        )
+    def t(self) -> int:  # strictly positive elements besides a0
+        return sum(self.positive) - self.u
+
+    @property
+    def u(self) -> int:  # 1 when a0 is strictly positive
+        return int(self.positive[self.a0_index])
 
     def theta(self, delta: Root) -> Root:
         return delta - self.a0
-
-
-def _strictly_positive(P: RootSubset, r: Root) -> bool:
-    return P.contains(r) and not P.contains(-r)
 
 
 class _StartBase(NamedTuple):
@@ -149,7 +144,7 @@ def _start_base(system: AffineRootSystem, comp: Component) -> _StartBase:
     theta, _ = highest_root(comp.dot, dot_base)
     start = dot_base + (system.delta - theta,)
     fac = factor_roots(start)
-    lines = tuple(sorted(system.entry(f).pos for f in comp.vectors))
+    lines = tuple(pos for pos, _ in comp.subset.by_position() if pos != system.zero_line)
     solved = [fac.solve(r.vector()) for r in (system.delta, *(system.lines[p] for p in lines))]
     if None in solved or any(x.denominator != 1 for xs in solved for x in xs) or min(solved[0]) <= 0:
         raise NotAFiniteRootSystem(
@@ -199,7 +194,7 @@ def select_base(
     are infinitely many).  The start data does not depend on P and is kept
     on the component.
     """
-    if not IntegerSet.at_least(1).is_subset(P.levels(system.zero_root)):
+    if not IntegerSet.at_least(1).is_subset(P.levels_at(system.zero_line)):
         raise NoCompatibleBase(
             f"no compatible shifted base for component {comp.index}: "
             "P misses positive imaginary levels"
@@ -248,7 +243,7 @@ def select_base(
             i = next((i for i in ones if not positive[i]), ones[0])
             t = sum(positive) - positive[i]
             if best is None or (-t, key) < best[0]:
-                best = (-t, key), js, i, t, int(positive[i])
+                best = (-t, key), js, i, positive
         for j, col in enumerate(start.columns):
             image = tuple(
                 x[:j] + (x[j] - sum(xi * a for xi, a in zip(x, col)),) + x[j + 1:] for x in xs
@@ -261,9 +256,9 @@ def select_base(
         raise NoCompatibleBase(
             f"no compatible shifted base for component {comp.index}", searched=len(seen)
         )
-    (_, key), js, i, t, u = best
+    (_, key), js, i, positive = best
     elements = tuple(system.lines[start.lines[f]].shift(th) for f, th in key)
-    return BaseChoice(elements, tuple(marks[j] for j in js), i, t, u)
+    return BaseChoice(elements, tuple(marks[j] for j in js), i, tuple(positive))
 
 
 @dataclass(frozen=True)
@@ -351,22 +346,16 @@ def construct_zeta(
         if idx == 0:
             basis_roots.append(bc.a0)
             values.append(Q(bc.u))
-        for e, m in bc.rest:
+        for i, (e, m, positive) in enumerate(zip(bc.elements, bc.marks, bc.positive)):
+            if i == bc.a0_index:
+                continue
             basis_roots.append(e)
-            P = parabolics[idx]
-            if _strictly_positive(P, e):
-                values.append((zd - bc.u) / (bc.t * m))
-            else:
-                values.append(Q(0))
+            values.append((zd - bc.u) / (bc.t * m) if positive else Q(0))
     functional = LinearFunctional(tuple(basis_roots), tuple(values))
-    for idx, bc in enumerate(bases):
-        if idx == 0:
-            continue
+    for idx, bc in enumerate(bases[1:], start=2):
         got = functional.value(bc.a0)
         if got != Q(bc.u):
-            raise CaseMismatch(
-                f"component {idx + 1} normalisation mismatch: {got} != {bc.u}"
-            )
+            raise CaseMismatch(f"component {idx} normalisation mismatch: {got} != {bc.u}")
     if functional.value(system.delta) != zd:
         raise CaseMismatch("delta value disagrees with the case normalisation")
     comps = tuple(
@@ -450,7 +439,7 @@ def verify_zeta(
             if entries[pos].kind != KIND_REAL:
                 continue
             line = lines[pos]
-            ln = shadow.ln_levels(line)
+            ln = shadow.ln_at(pos)
             positive = live.intersect(IntegerSet.where_positive(c, w))
             negative = live.intersect(IntegerSet.where_positive(-c, -w))
             if positive.is_subset(ln) and negative.intersect(ln).is_empty():
@@ -477,15 +466,10 @@ def hybrid_assignment_shadows(
     direction: str,
 ):
     """Per-class colourings realising one (m, t) hybrid per component."""
-    from .shadows import hybrid_class
-
+    lines, entries = system.lines, system.line_entries
     table = {}
     for comp, (m, t) in zip(components, assignments):
-        reps = []
-        for f in comp.vectors:
-            rep, _ = system.class_rep(f)
-            if rep not in reps:
-                reps.append(rep)
-        for rep in reps:
-            table[rep] = hybrid_class(rep, direction, m, t)
+        for pos, _ in comp.subset.by_position():
+            if entries[pos].real_class == (pos, 1):
+                table[lines[pos]] = hybrid_class(lines[pos], direction, m, t)
     return table

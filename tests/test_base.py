@@ -25,7 +25,10 @@ from superroots import (
     parse_type_token,
     root,
 )
+from superroots import basefind
+from superroots.affine import build_affine
 from superroots.basefind import is_lex_positive, positive_roots
+from superroots.subsets import decompose, even_subset
 
 TOKENS = ["A,2,1", "A,1,1", "A,2,2", "B,1,1", "B,2,1", "B,1,2",
           "C,1,1", "C,2,2", "D,2,1", "D,2,2", "BC,1,1",
@@ -139,3 +142,16 @@ def test_highest_root_rejects_reducible():
                        frozenset(), "adhoc")
     with pytest.raises(NotAFiniteRootSystem):
         highest_root(rs)
+
+
+@pytest.mark.parametrize("token, index, positives", [("G3", 1, 6), ("F4", 2, 9)])
+def test_highest_root_factors_its_base_once(token, index, positives, monkeypatch):
+    """Each positive root is one solve against a single factorisation of the base."""
+    system = build_affine(parse_type_token(token))
+    comp = decompose(system, even_subset(system), kmax=6).components[index - 1]
+    assert len(positive_roots(comp.dot)) == positives
+    calls = []
+    factor = basefind.factor
+    monkeypatch.setattr(basefind, "factor", lambda a: calls.append(a) or factor(a))
+    highest_root(comp.dot)
+    assert len(calls) == 1

@@ -185,6 +185,32 @@ def test_shadow_validate_incomplete_config_exits_2(tmp_path):
     expect_usage_error("shadow-validate", "--type", "B,1,1", "--config", str(path))
 
 
+def test_shadow_validate_class_coloured_twice_exits_2(capsys):
+    # e1 and -e1 name one class; the config colours it up,0,0 and full_ln
+    config = os.path.join(os.path.dirname(__file__), "golden", "shadow_b11_twice.json")
+    expect_usage_error("shadow-validate", "--type", "B,1,1", "--config", config)
+    assert "bad shadow configuration: class -e1 is coloured twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--type", "B,1,1"],
+        ["classify", "--type", "B,1,1"],
+        ["tables", "--type", "B,1,1"],
+        ["decompose", "--type", "B,1,1"],
+        ["export", "--type", "B,1,1"],
+        ["shadow-validate", "--type", "G3", "--config",
+         os.path.join(os.path.dirname(__file__), "golden", "shadow_g3.json")],
+        ["zeta", "--scenario", "b11-case1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_window_exits_2(argv, capsys):
+    expect_usage_error(*argv, "--window", "-1")
+    assert "--window: expects an integer K >= 0, got '-1'" in capsys.readouterr().err
+
+
 def test_shadow_validate_missing_file_exits_2(tmp_path):
     expect_usage_error(
         "shadow-validate", "--type", "B,1,1", "--config", str(tmp_path / "nope.json")

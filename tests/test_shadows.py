@@ -189,6 +189,25 @@ def test_shadow_of_requires_full_coverage():
         Shadow.of(s, [hybrid_class(reps[0], UP, 0, 0)])
 
 
+def test_shadow_of_refuses_a_class_coloured_twice():
+    s = b11()
+    classes = [hybrid_class(rep, UP, 0, 0) for rep in s.real_class_reps]
+    # -e1 is the rep of e1's class, so this colours that class a second time
+    again = anchored_hybrid(s, root(1, 0), UP, 1, 0)
+    assert again.rep == classes[0].rep
+    with pytest.raises(NotAShadowPattern, match="class -e1 is coloured twice"):
+        Shadow.of(s, classes + [again])
+
+
+def test_shadow_reads_only_canonical_reps_of_its_table():
+    # a key on the other side of a class colours nothing, as a key off any line
+    s = b11()
+    rep = s.real_class_reps[0]
+    shadow = Shadow(s, {-rep: hybrid_class(rep, UP, 0, 0)})
+    with pytest.raises(NotAShadowPattern, match="class of -e1 has no colouring"):
+        shadow.ln_levels(rep)
+
+
 def test_shadow_class_without_colouring_is_named():
     # built directly, a Shadow skips Shadow.of's coverage check
     s = b11()

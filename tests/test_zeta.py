@@ -50,7 +50,6 @@ from superroots.subsets import (
 from superroots.zeta import (
     BaseChoice,
     LinearFunctional,
-    _strictly_positive,
     ZetaComponent,
     ZetaResult,
     construct_zeta,
@@ -492,6 +491,11 @@ def _base_catalogue(system: AffineRootSystem, comp: Component, kcap: int) -> _Ba
     return _BaseCatalogue(len(orbit), roots, lines, tuple(candidates))
 
 
+def _strictly_positive(P: RootSubset, r: Root) -> bool:
+    """r lies in P and -r does not: the oracle's own reading, by ``Root``."""
+    return P.contains(r) and not P.contains(-r)
+
+
 def capped_select_base(system, comp, P, catalogue=_base_catalogue):
     """``select_base`` over the orbit within |k| <= kcap, kcap read off P's rays."""
     kcap = 3
@@ -528,8 +532,9 @@ def capped_select_base(system, comp, P, catalogue=_base_catalogue):
         raise NoCompatibleBase(
             f"no compatible shifted base for component {comp.index}", searched=cat.searched
         )
-    t, cand, i, u = best
-    return BaseChoice(tuple(cat.roots[e] for e in cand.elements), cand.marks, i, t, u)
+    _, cand, i, _ = best
+    positive = tuple(is_positive(e) for e in cand.elements)
+    return BaseChoice(tuple(cat.roots[e] for e in cand.elements), cand.marks, i, positive)
 
 
 @functools.cache
@@ -913,6 +918,40 @@ def test_zeta_hashes_no_root(token, direction, monkeypatch):
     # the counter does see a direct call
     hash(s.delta)
     assert calls == [s.delta]
+
+
+@pytest.mark.parametrize("direction", [UP, DOWN])
+@pytest.mark.parametrize("token", ["B,1,1", "D21L", "A,2,2"])
+def test_zeta_item_names_each_class_by_position(token, direction, monkeypatch):
+    """A warm item shaped like a benchmark one (colour, parabolics, zeta,
+    verify against the shadow, parabolic check) names each real class by
+    its rep line's position: no line is looked up by ``Root`` more than once
+    per class, and the ``Root``-keyed class table is hashed at most twice per
+    class (filled once, read once)."""
+    s = build_affine(parse_type_token(token))
+    subset = even_subset(s)
+    comps = decompose(s, subset, kmax=6).components
+    assignments = [(0, 1)] * len(comps)
+
+    def item():
+        table = hybrid_assignment_shadows(s, comps, assignments, direction)
+        parabolics = tuple(component_parabolic(s, comp, table, direction) for comp in comps)
+        result = construct_zeta(s, comps, parabolics, direction)
+        problems = verify_zeta(result, subset, 10, shadow=Shadow(s, table))
+        checks = [check_parabolic(P, comp.subset, 10) for comp, P in zip(comps, parabolics)]
+        return problems, checks
+
+    item()  # memoises the start bases and the line sums
+    entries, hashes = [], []
+    entry, root_hash = AffineRootSystem.entry, Root.__hash__
+    monkeypatch.setattr(AffineRootSystem, "entry", lambda self, r: entries.append(r) or entry(self, r))
+    monkeypatch.setattr(Root, "__hash__", lambda r: hashes.append(r) or root_hash(r))
+    problems, checks = item()
+    assert problems == []
+    assert all(c.is_parabolic and c.proper for c in checks)
+    classes = len(s.real_class_reps)
+    assert len(entries) <= classes, entries
+    assert len(hashes) <= 2 * classes, hashes
 
 
 # -- serialisation ----------------------------------------------------------------
