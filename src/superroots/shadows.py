@@ -202,7 +202,7 @@ class Shadow:
             )
         return self._by_rep[rep], side
 
-    def ln_at(self, pos: int) -> IntegerSet:
+    def ln_levels_at(self, pos: int) -> IntegerSet:
         """The ln levels of the real line at ``pos``."""
         cs, side = self.colouring_at(pos)
         return cs.ln_set(side)
@@ -215,7 +215,7 @@ class Shadow:
 
     def ln_levels(self, finite_vector: Root) -> IntegerSet:
         """ln levels along a given real finite vector (either sign)."""
-        return self.ln_at(self.system.real_entry(finite_vector).pos)
+        return self.ln_levels_at(self.system.real_entry(finite_vector).pos)
 
     def in_levels(self, finite_vector: Root) -> IntegerSet:
         cs, side = self.colouring_at(self.system.real_entry(finite_vector).pos)
@@ -248,7 +248,6 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
     """
     system = shadow.system
     lines, entries = system.lines, system.line_entries
-    ln = shadow.ln_at
     names: dict[tuple[int, int], str] = {}  # window roots recur across violations
 
     def fmt(pos: int, k: int) -> str:
@@ -266,7 +265,8 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
     real = []  # (real line position, its ln levels in the window)
     for pair in classes:
         for pos in pair:
-            real.append((pos, [k for k in window if k in ln(pos)]))
+            ln = shadow.ln_levels_at(pos)
+            real.append((pos, [k for k in window if k in ln]))
     rows = []
     for pa, ka in real:
         row = []
@@ -278,7 +278,7 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
                 pt = system.line_sum(pa, pb, m)
                 if pt is None or entries[pt].kind0 != KIND_REAL:
                     continue
-                ln_t = ln(pt)
+                ln_t = shadow.ln_levels_at(pt)
                 if ka[0] + m * kb[0] not in ln_t or ka[-1] + m * kb[-1] not in ln_t:
                     laws.append((law, m, pt, ln_t))
             if laws:
@@ -303,7 +303,7 @@ def validate_shadow(shadow: Shadow, kmax: int, class_filter=None) -> ShadowRepor
         if doubled[0] is None or entries[doubled[0]].kind0 != KIND_REAL:
             continue
         for p, p2 in zip(pair, doubled):
-            ln1, ln2 = ln(p), ln(p2)
+            ln1, ln2 = shadow.ln_levels_at(p), shadow.ln_levels_at(p2)
             for k in window:
                 if (k in ln1) != (2 * k in ln2):
                     violations.append(Violation(

@@ -439,7 +439,7 @@ def verify_zeta(
             if entries[pos].kind != KIND_REAL:
                 continue
             line = lines[pos]
-            ln = shadow.ln_at(pos)
+            ln = shadow.ln_levels_at(pos)
             positive = live.intersect(IntegerSet.where_positive(c, w))
             negative = live.intersect(IntegerSet.where_positive(-c, -w))
             if positive.is_subset(ln) and negative.intersect(ln).is_empty():
