@@ -425,15 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
                 help="apply one pattern spec to every class (default full_ln)",
             )
         sub.add_argument("--output", help="write the report to a file instead of stdout")
-        sub.set_defaults(func=func)
+        # a handler's usage errors print its own subcommand's usage
+        sub.set_defaults(func=func, parser=sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        status = args.func(parser, args)
+        status = args.func(args.parser, args)
         sys.stdout.flush()  # a reader that left shows here at the latest
     except BrokenPipeError:
         # ``superroots ... | head``: Python flushes stdout again at exit, so

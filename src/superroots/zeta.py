@@ -34,7 +34,7 @@ from .errors import (
 from .intsets import IntegerSet
 # solve stays bound here for the benchmark tracer, whose self-test wraps it at
 # every module that imports it
-from .linalg import dot, solve  # noqa: F401
+from .linalg import clear_denominators, dot, solve  # noqa: F401
 from .roots import KIND_REAL, Root
 from .shadows import DOWN, UP, hybrid_class
 from .subsets import Component, RootSubset
@@ -45,20 +45,23 @@ class LinearFunctional:
     """Rational functional given by values on an independent root list.
 
     The basis is factored once, when the functional is built: the value of
-    a root is one dot product with the covector ``values @ L``, after the
-    kernel rows ``N`` have confirmed that the root lies in the span.
+    a root is one dot product with the covector ``values @ left / den``,
+    after the kernel rows have confirmed that the root lies in the span.
     """
 
     basis_roots: tuple[Root, ...]
     values: tuple[Q, ...]
-    _covector: tuple[Q, ...] = field(init=False, repr=False, compare=False)
-    _kernel: tuple[tuple[Q, ...], ...] = field(init=False, repr=False, compare=False)
+    _covector: tuple[Q, ...] | None = field(default=None, repr=False, compare=False)
+    _kernel: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
+        if self._covector is not None:
+            return
         fac = factor_roots(self.basis_roots)
-        covector = tuple(dot(self.values, column) for column in zip(*fac.left))
-        object.__setattr__(self, "_covector", covector)
-        object.__setattr__(self, "_kernel", tuple(tuple(row) for row in fac.kernel))
+        nums, q = clear_denominators(self.values)  # one Fraction per covector entry
+        cov = (Q(sum(p * x for p, x in zip(nums, col)), q * fac.den) for col in zip(*fac.left))
+        object.__setattr__(self, "_covector", tuple(cov))
+        object.__setattr__(self, "_kernel", tuple(map(tuple, fac.kernel)))
 
     def value(self, r: Root) -> Q:
         vec = r.vector()
@@ -97,9 +100,15 @@ class LinearFunctional:
         return dot(self._covector, vec), self._covector[-2], levels
 
     def mirrored(self) -> "LinearFunctional":
+        """The same values on the basis with delta negated.  That basis is D a, with
+        D = D^-1 = diag(1, ..., -1, 1), so left @ D and kernel @ D factor it: no elimination."""
+        def flip(v):
+            return (*v[:-2], -v[-2], v[-1]) if v else v
         return LinearFunctional(
             tuple(Root(b.coords, -b.k, b.sigma) for b in self.basis_roots),
             self.values,
+            flip(self._covector),
+            tuple(map(flip, self._kernel)),
         )
 
 
@@ -403,6 +412,7 @@ def verify_zeta(
     window = range(-kmax, kmax + 1)
     lines, entries = sysm.lines, sysm.line_entries
     spans = {}  # position -> (c, w, levels of S on its line that lie in the span)
+    settled = set()  # positions whose cone is P's levels with w = zeta(delta): no witness there
     for pos, ks in S.by_position():
         line = lines[pos]
         try:
@@ -420,10 +430,14 @@ def verify_zeta(
             problems.append(
                 f"line {sysm.format(line)}: cone gives {want}, parabolic union gives {got}"
             )
+        elif w == zd:
+            settled.add(pos)
 
     def membership_witnesses():
         # positions increase, as in S.window_members
         for pos, (c, w, live) in spans.items():
+            if pos in settled:
+                continue
             inside = P.levels_at(pos)
             if live.intersect(IntegerSet.where_nonnegative(c, w)) == live.intersect(inside):
                 continue

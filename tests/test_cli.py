@@ -192,6 +192,19 @@ def test_shadow_validate_class_coloured_twice_exits_2(capsys):
     assert "bad shadow configuration: class -e1 is coloured twice" in capsys.readouterr().err
 
 
+def test_handler_usage_errors_print_the_subcommand_usage(capsys):
+    config = os.path.join(os.path.dirname(__file__), "golden", "shadow_b11_twice.json")
+    expect_usage_error("shadow-validate", "--type", "B,1,1", "--config", config)
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: superroots shadow-validate ")
+    assert "superroots shadow-validate: error: bad shadow configuration" in captured.err
+    assert captured.out == ""
+    expect_usage_error("zeta")
+    assert capsys.readouterr().err.startswith("usage: superroots zeta ")
+    expect_usage_error("build", "--type", "Q,9")
+    assert capsys.readouterr().err.startswith("usage: superroots build ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

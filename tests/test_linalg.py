@@ -1,4 +1,9 @@
-"""Unit tests for the exact Gaussian-elimination helpers."""
+"""Unit tests for the exact Gaussian-elimination helpers.
+
+The fraction-free elimination of ``superroots.linalg`` is checked against
+closed-form oracles (cofactor expansion, largest nonzero minor) and against
+a Gauss-Jordan over Fractions kept here as the oracle of every reader.
+"""
 
 from __future__ import annotations
 
@@ -48,10 +53,15 @@ def test_solve_examples():
     assert solve([], [Q(1)]) is None
 
 
+def over(fac):
+    """``fac.left / fac.den``: the left inverse as Fractions."""
+    return [[Q(x, fac.den) for x in row] for row in fac.left]
+
+
 def test_factor_examples():
     # [[1], [2]]: x = b0 when 2*b0 - b1 = 0
     fac = factor([[Q(1)], [Q(2)]])
-    assert fac.left == [[Q(1), Q(0)]]
+    assert over(fac) == [[Q(1), Q(0)]]
     assert fac.kernel == [[Q(-2), Q(1)]]
     assert fac.solve([Q(3), Q(6)]) == [Q(3)]
     assert fac.solve([Q(3), Q(5)]) is None
@@ -60,7 +70,11 @@ def test_factor_examples():
     # dependent columns, and more columns than rows
     assert factor([[Q(1), Q(2)], [Q(2), Q(4)]]) is None
     assert factor([[Q(1), Q(2)]]) is None
-    assert factor([]) == ([], [])
+    assert factor([]) == ([], 1, [])
+    # rows over different denominators: [[1/2, 0], [0, 2/3]] is [[1, 0], [0, 2]] / [2, 3]
+    fac = factor([[Q(1, 2), Q(0)], [Q(0), Q(2, 3)]])
+    assert over(fac) == [[Q(2), Q(0)], [Q(0), Q(3, 2)]]
+    assert all(isinstance(x, int) for row in fac.left for x in row)
 
 
 def test_pivot_columns_examples():
@@ -202,6 +216,140 @@ def test_pivot_columns_are_the_greedy_independent_columns(a):
 def test_empty_matrices():
     assert det([]) == 1 == cofactor_det([])
     assert rank([]) == 0 == minor_rank([])
-    assert factor([]) == ([], [])
+    assert factor([]) == ([], 1, [])
     assert solve([], []) == []
     assert solve([], [Q(0), Q(2)]) is None
+
+
+# -- the Fraction Gauss-Jordan as the oracle of the integer elimination ---------
+
+
+def fraction_eliminate(m, cols):
+    """Gauss-Jordan over Fractions on the first ``cols`` columns, in place.
+
+    Returns the pivot columns and the product of the pivots, negated once per
+    row swap; afterwards each pivot row holds a leading 1.
+    """
+    pivots = []
+    scale = Q(1)
+    rows = len(m)
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            scale = -scale
+        inv = m[r][c]
+        scale *= inv
+        m[r] = top = [v / inv for v in m[r]]
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [x - f * y for x, y in zip(m[i], top)]
+        pivots.append(c)
+    return pivots, scale
+
+
+def oracle_pivot_columns(a):
+    return fraction_eliminate([[Q(x) for x in row] for row in a], len(a[0]) if a else 0)[0]
+
+
+def oracle_det(a):
+    pivots, scale = fraction_eliminate([[Q(x) for x in row] for row in a], len(a))
+    return scale if len(pivots) == len(a) else Q(0)
+
+
+def oracle_solve(a, b):
+    cols = len(a[0])
+    m = [[Q(x) for x in row] + [Q(x)] for row, x in zip(a, b)]
+    pivots, _ = fraction_eliminate(m, cols)
+    if any(row[cols] for row in m[len(pivots):]):
+        return None
+    x = [Q(0)] * cols
+    for row, c in zip(m, pivots):
+        x[c] = row[cols]
+    return x
+
+
+def oracle_factor(a):
+    """(left, kernel) from ``[a | I]`` brought to ``[[I, L], [0, N]]``, or None."""
+    rows, cols = len(a), len(a[0])
+    m = [[Q(x) for x in a[i]] + [Q(int(i == j)) for j in range(rows)] for i in range(rows)]
+    if len(fraction_eliminate(m, cols)[0]) < cols:
+        return None
+    return [row[cols:] for row in m[:cols]], [row[cols:] for row in m[cols:]]
+
+
+#: denominators 1 to 6, so that rows scale by different lcms
+fine = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def awkward_matrices(draw):
+    """Square, wide and tall matrices, rank-deficient ones among them, with
+    zero rows, zero leading entries (so that elimination swaps rows) and rows
+    over different denominators."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    a = draw(matrices(rows, cols, draw(st.sampled_from([fine, coarse]))))
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        a[i] = [Q(0)] * cols
+    if rows > 1 and draw(st.booleans()):
+        # another row times a factor: rank-deficient however the rest turns out
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        f = draw(fine)
+        a[i] = [f * x for x in a[j]]
+    if draw(st.booleans()):
+        a[0] = [Q(0)] + a[0][1:]
+    return a
+
+
+@given(awkward_matrices())
+def test_pivot_columns_and_rank_match_the_fraction_elimination(a):
+    assert pivot_columns(a) == oracle_pivot_columns(a)
+    assert rank(a) == len(oracle_pivot_columns(a))
+
+
+@given(awkward_matrices())
+def test_det_matches_the_fraction_elimination(a):
+    square = [row[:len(a)] for row in a] if len(a) <= len(a[0]) else a[:len(a[0])]
+    assert det(square) == oracle_det(square)
+
+
+@given(awkward_matrices(), st.data())
+def test_solve_matches_the_fraction_elimination(a, data):
+    x = data.draw(st.lists(fine, min_size=len(a[0]), max_size=len(a[0])))
+    b = data.draw(st.lists(fine, min_size=len(a), max_size=len(a)))
+    for rhs in (mat_vec(a, x), b):
+        assert solve(a, rhs) == oracle_solve(a, rhs)
+
+
+@given(awkward_matrices(), st.data())
+def test_factor_matches_the_fraction_elimination(a, data):
+    """The same left inverse over one denominator, kernel rows that are
+    nonzero multiples of the oracle's, and the same answers."""
+    fac, want = factor(a), oracle_factor(a)
+    assert (fac is None) == (want is None)
+    if fac is None:
+        return
+    left, kernel = want
+    assert over(fac) == left
+    assert len(fac.kernel) == len(kernel)
+    for row, oracle_row in zip(fac.kernel, kernel):
+        assert all(isinstance(x, int) for x in row)
+        ratio = next(Q(x) / y for x, y in zip(row, oracle_row) if y)
+        assert ratio and [Q(x) for x in row] == [ratio * y for y in oracle_row]
+    x = data.draw(st.lists(fine, min_size=len(a[0]), max_size=len(a[0])))
+    b = data.draw(st.lists(fine, min_size=len(a), max_size=len(a)))
+    for rhs in (mat_vec(a, x), b):
+        assert fac.solve(rhs) == oracle_solve(a, rhs)
+
+
+def test_elimination_swaps_rows_and_reads_the_sign():
+    swap = [[Q(0), Q(1)], [Q(1), Q(0)]]
+    assert det(swap) == -1 == oracle_det(swap)
+    assert det([[Q(0), Q(1, 2)], [Q(1, 3), Q(0)]]) == Q(-1, 6)
+    assert solve([[Q(0), Q(1, 2)], [Q(1, 3), Q(0)]], [Q(1), Q(1)]) == [Q(3), Q(2)]

@@ -26,8 +26,10 @@ from typing import NamedTuple
 
 import pytest
 
+from superroots import linalg
 from superroots.affine import AffineRootSystem, build_affine
 from superroots.basefind import factor_roots, find_base, highest_root
+from superroots.cli import run_scenario, scenario_names
 from superroots.errors import (
     BasisMismatch,
     CaseMismatch,
@@ -142,6 +144,29 @@ def test_functional_mirrored_swaps_level_sign():
     mirr = func.mirrored()
     for coords, k in [((Q(1), Q(0)), 2), ((Q(-1), Q(0)), 0), ((Q(0), Q(0)), 3)]:
         assert mirr.value(Root(coords, k, 0)) == func.value(Root(coords, -k, 0))
+
+
+def _answer(func, r):
+    try:
+        return func.value(r)
+    except (BasisMismatch, OutsideSpan) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_mirrored_functional_matches_one_built_on_the_mirrored_basis(name):
+    """``mirrored`` negates delta's entry of the covector and kernel rows in
+    place of a second elimination; a functional built from scratch on the
+    mirrored basis gives the same value, or the same refusal, on every
+    window root, and the same reading of every line."""
+    system, _, _, result, _ = run_scenario(name, 6)
+    func = result.functional
+    mirr = func.mirrored()
+    fresh = LinearFunctional(mirr.basis_roots, mirr.values)
+    for r, _ in system.window_entries(6):
+        assert _answer(mirr, r) == _answer(fresh, r)
+        assert mirr.on_line(r) == fresh.on_line(r)
+    assert mirr.mirrored()._covector == func._covector
 
 
 def test_functional_on_line_with_delta_in_the_span():
@@ -918,6 +943,24 @@ def test_zeta_hashes_no_root(token, direction, monkeypatch):
     # the counter does see a direct call
     hash(s.delta)
     assert calls == [s.delta]
+
+
+@pytest.mark.parametrize("token", ["B,1,1", "D21L"])
+def test_downward_zeta_eliminates_no_more_than_upward(token, monkeypatch):
+    """A warm downward construct_zeta runs the upward one on the mirrored
+    parabolics and mirrors its functional by sign: no elimination of its own."""
+    s = build_affine(parse_type_token(token))
+    counts = {}
+    for direction in (UP, DOWN):
+        _, dec, _, parabolics = setup_system(s, [(0, 1)] * 3, direction)
+        construct_zeta(s, dec.components, parabolics, direction)  # memoises the start bases
+        calls, eliminate = [], linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda m, c: calls.append(c) or eliminate(m, c))
+        construct_zeta(s, dec.components, parabolics, direction)
+        monkeypatch.undo()
+        counts[direction] = len(calls)
+    assert counts[UP] >= 1
+    assert counts[DOWN] == counts[UP]
 
 
 @pytest.mark.parametrize("direction", [UP, DOWN])
