@@ -102,6 +102,16 @@ class AffineRootSystem:
         roots = self.finite.roots
         return tuple(Root(roots[i].coords, 0, key[-1]) for key, i in self._line_keys)
 
+    @property
+    def line_scale(self) -> int:
+        """The lines' common denominator, the scale of ``line_vector``."""
+        return self.finite._view.denom
+
+    def line_vector(self, pos: int) -> tuple[int, ...]:
+        """Line ``pos``'s member at level 0, as ``Root.vector`` times ``line_scale``."""
+        key, _ = self._line_keys[pos]
+        return key[:-1] + (0, key[-1] * self.line_scale)
+
     @cached_property
     def line_negation(self) -> tuple[int, ...]:
         """The position of each line's negative (-f, -sigma)."""

@@ -197,9 +197,15 @@ def _class_from_config(system: AffineRootSystem, anchor: Root, cfg: dict) -> Cla
     if family in (FULL_LN, FULL_IN):
         plus = minus = full if family == FULL_LN else none
     elif family == TIGHT:
+        for key in ("plus", "minus"):
+            if cfg[key] not in ("ln", "in"):
+                raise ValueError(f"tight side {key!r} must be 'ln' or 'in', got {cfg[key]!r}")
         plus, minus = (full if cfg[key] == "ln" else none for key in ("plus", "minus"))
     elif family in (UP, DOWN):
-        plus, minus = hybrid_sets(family, int(cfg["m"]), int(cfg["t"]))
+        for key in ("m", "t"):
+            if type(cfg[key]) is not int:  # a JSON integer: no float, bool or string
+                raise ValueError(f"hybrid {key!r} must be an integer, got {cfg[key]!r}")
+        plus, minus = hybrid_sets(family, cfg["m"], cfg["t"])
     else:
         raise ValueError(f"unknown pattern family {family!r}")
     return ClassShadow(rep, plus, minus) if side > 0 else ClassShadow(rep, minus, plus)
@@ -213,7 +219,10 @@ def _uniform_config(spec: str) -> dict:
     if family == TIGHT and len(parts) == 3:
         return {"family": TIGHT, "plus": parts[1], "minus": parts[2]}
     if family in (UP, DOWN) and len(parts) == 3:
-        return {"family": family, "m": int(parts[1]), "t": int(parts[2])}
+        try:
+            return {"family": family, "m": int(parts[1]), "t": int(parts[2])}
+        except ValueError:
+            pass  # refused below, naming the whole spec
     raise ValueError(
         f"bad pattern spec {spec!r}; use full_ln, full_in, tight,<ln|in>,<ln|in>, "
         "or up|down,<m>,<t>"

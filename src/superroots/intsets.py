@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 
 
 @dataclass(frozen=True)
@@ -58,22 +57,23 @@ class IntegerSet:
         return IntegerSet(points=frozenset(pts))
 
     @staticmethod
-    def where_nonnegative(c: Fraction, w: Fraction) -> "IntegerSet":
-        """The levels k with c + k*w >= 0."""
+    def where_nonnegative(c: int | Fraction, w: int | Fraction) -> "IntegerSet":
+        """The levels k with c + k*w >= 0.  Floor division is exact on ints
+        and Fractions alike, and builds no Fraction from ints."""
         if w == 0:
             return IntegerSet.all() if c >= 0 else IntegerSet.empty()
         if w > 0:
-            return IntegerSet.at_least(ceil(-c / w))
-        return IntegerSet.at_most(floor(-c / w))
+            return IntegerSet.at_least(-(c // w))
+        return IntegerSet.at_most(-c // w)
 
     @staticmethod
-    def where_positive(c: Fraction, w: Fraction) -> "IntegerSet":
+    def where_positive(c: int | Fraction, w: int | Fraction) -> "IntegerSet":
         """The levels k with c + k*w > 0."""
         if w == 0:
             return IntegerSet.all() if c > 0 else IntegerSet.empty()
         if w > 0:
-            return IntegerSet.at_least(floor(-c / w) + 1)
-        return IntegerSet.at_most(ceil(-c / w) - 1)
+            return IntegerSet.at_least(-c // w + 1)
+        return IntegerSet.at_most(-(c // w) - 1)
 
     @staticmethod
     def make(down: int | None, up: int | None, pts) -> "IntegerSet":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 Q = Fraction
@@ -108,9 +109,10 @@ class Factor(NamedTuple):
     kernel: list[list[int]]
 
     def solve(self, b: Vector) -> Vector | None:
+        b, s = clear_denominators(b)
         if any(dot(row, b) for row in self.kernel):
             return None
-        return [dot(row, b) / self.den for row in self.left]
+        return [Q(dot(row, b), self.den * s) for row in self.left]
 
 
 def factor(a: Matrix) -> Factor | None:
@@ -131,8 +133,9 @@ def factor(a: Matrix) -> Factor | None:
     return Factor([row[cols:] for row in m[:cols]], d, [row[cols:] for row in m[cols:]])
 
 
-def dot(u: Vector, v: Vector) -> Q:
-    return sum((x * y for x, y in zip(u, v) if x and y), Q(0))
+def dot(u, v):
+    """The dot product; an int when both sides are ints."""
+    return sum(map(mul, u, v))
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

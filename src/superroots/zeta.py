@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import gcd
 from typing import NamedTuple
 
 from .affine import AffineRootSystem
@@ -44,60 +45,66 @@ from .subsets import Component, RootSubset
 class LinearFunctional:
     """Rational functional given by values on an independent root list.
 
-    The basis is factored once, when the functional is built: the value of
-    a root is one dot product with the covector ``values @ left / den``,
-    after the kernel rows have confirmed that the root lies in the span.
+    The basis is factored once, when the functional is built, into integer
+    kernel rows and an integer covector ``values @ left`` over one positive
+    ``den``, so a root is read with integer dot products and one division.
     """
 
     basis_roots: tuple[Root, ...]
     values: tuple[Q, ...]
-    _covector: tuple[Q, ...] | None = field(default=None, repr=False, compare=False)
+    _covector: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     _kernel: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    _den: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
         if self._covector is not None:
             return
         fac = factor_roots(self.basis_roots)
-        nums, q = clear_denominators(self.values)  # one Fraction per covector entry
-        cov = (Q(sum(p * x for p, x in zip(nums, col)), q * fac.den) for col in zip(*fac.left))
-        object.__setattr__(self, "_covector", tuple(cov))
+        nums, q = clear_denominators(self.values)
+        cov = [dot(nums, col) for col in zip(*fac.left)]
+        g = gcd(q * fac.den, *cov) * (1 if fac.den > 0 else -1)  # so that den > 0
+        object.__setattr__(self, "_covector", tuple(x // g for x in cov))
         object.__setattr__(self, "_kernel", tuple(map(tuple, fac.kernel)))
+        object.__setattr__(self, "_den", q * fac.den // g)
 
     def value(self, r: Root) -> Q:
-        vec = r.vector()
+        vec, s = clear_denominators(r.vector())
         if len(vec) != len(self._covector):
             raise BasisMismatch(f"{r} does not live over the functional's basis")
         if any(dot(row, vec) for row in self._kernel):
             raise OutsideSpan(f"{r} is outside the functional's span")
-        return dot(self._covector, vec)
+        return Q(dot(self._covector, vec), self._den * s)
 
     def on_line(self, line: Root) -> tuple[Q, Q, IntegerSet]:
-        """(c, w, levels) for the line of ``line``: the value of line + k*delta
-        is c + k*w at every level k in ``levels``, the levels where it lies in
-        the span.
+        """``read_line`` of the line of ``line``, c and w as values: the value of
+        line + k*delta is c + k*w at every level k in ``levels``."""
+        vec, s = clear_denominators(Root(line.coords, 0, line.sigma).vector())
+        c, w, levels = self.read_line(vec, s)
+        return Q(c, self._den * s), Q(w, self._den * s), levels
 
-        Each kernel row has residue a + k*b there, a from the level-0 root and
-        b from delta, so the span holds all levels, none, or the one integral
-        k that zeroes every residue.
-        """
-        vec = Root(line.coords, 0, line.sigma).vector()
+    def read_line(self, vec: tuple[int, ...], s: int) -> tuple[int, int, IntegerSet]:
+        """(c, w, levels) for the line through ``vec / s`` (ints, s > 0, in
+        ``Root.vector`` layout): at each level k in ``levels``, where vec / s +
+        k*delta lies in the span, its value is (c + k*w) / (den*s).  Each kernel
+        row has residue a + k*b there, a from vec and b from delta, so the span
+        holds all levels, none, or the one integral k that zeroes every residue."""
         if len(vec) != len(self._covector):
-            raise BasisMismatch(f"{line} does not live over the functional's basis")
-        at = None  # the level some residue pins, once one does
+            raise BasisMismatch("the line does not live over the functional's basis")
+        at = None  # (a, b) of the first row that pins a level
         levels = IntegerSet.all()
         for row in self._kernel:
-            a, b = dot(row, vec), row[-2]
+            a, b = dot(row, vec), row[-2] * s
             if b == 0:
                 if a:
                     levels = IntegerSet.empty()
                     break
             elif at is None:
-                at = -a / b
-                levels = IntegerSet.of(int(at)) if at.denominator == 1 else IntegerSet.empty()
-            elif -a / b != at:
+                at = a, b
+                levels = IntegerSet.of(-a // b) if a % b == 0 else IntegerSet.empty()
+            elif a * at[1] != at[0] * b:
                 levels = IntegerSet.empty()
                 break
-        return dot(self._covector, vec), self._covector[-2], levels
+        return dot(self._covector, vec), self._covector[-2] * s, levels
 
     def mirrored(self) -> "LinearFunctional":
         """The same values on the basis with delta negated.  That basis is D a, with
@@ -109,6 +116,7 @@ class LinearFunctional:
             self.values,
             flip(self._covector),
             tuple(map(flip, self._kernel)),
+            self._den,
         )
 
 
@@ -390,8 +398,8 @@ def verify_zeta(
     * when a shadow is supplied: strictly positive real members are ln
       and strictly negative ones are in, at every level.
 
-    Each line of S is decided once, from the functional's value c + k*w
-    on it and the levels where it meets the span (``on_line``).  Window
+    Each line of S is decided once, in integers: ``read_line`` gives the value
+    c + k*w on its ``line_vector`` and the levels where it meets the span.  Window
     levels are enumerated only on a line that fails, to list its
     witnesses in the order of a scan over ``S.window_members(kmax)``;
     ``tests/test_pair_scans.py`` checks the result against that scan.  A
@@ -410,13 +418,14 @@ def verify_zeta(
     for zc in result.components[1:]:
         P = P.union(zc.parabolic)
     window = range(-kmax, kmax + 1)
-    lines, entries = sysm.lines, sysm.line_entries
+    lines, entries, scale = sysm.lines, sysm.line_entries, sysm.line_scale
+    zn, zq = (zd * func._den * scale).as_integer_ratio()  # zeta(delta) on c and w's scale
     spans = {}  # position -> (c, w, levels of S on its line that lie in the span)
     settled = set()  # positions whose cone is P's levels with w = zeta(delta): no witness there
     for pos, ks in S.by_position():
         line = lines[pos]
         try:
-            c, w, span = func.on_line(line)
+            c, w, span = func.read_line(sysm.line_vector(pos), scale)
         except BasisMismatch:
             span = IntegerSet.empty()
         else:
@@ -424,13 +433,13 @@ def verify_zeta(
         if 0 not in span:
             problems.append(f"line {sysm.format(line)} outside the functional span")
             continue
-        want = IntegerSet.where_nonnegative(c, zd)
+        want = IntegerSet.where_nonnegative(c * zq, zn)
         got = P.levels_at(pos)
         if want != got:
             problems.append(
                 f"line {sysm.format(line)}: cone gives {want}, parabolic union gives {got}"
             )
-        elif w == zd:
+        elif w * zq == zn:
             settled.add(pos)
 
     def membership_witnesses():

@@ -163,6 +163,49 @@ def test_shadow_validate_bad_specs():
     expect_usage_error("shadow-validate", "--type", "B,1,1", "--uniform", "up,2")
 
 
+def test_shadow_validate_bad_tight_side_exits_2(capsys):
+    expect_usage_error("shadow-validate", "--type", "B,1,1", "--uniform", "tight,xx,ln")
+    err = capsys.readouterr().err
+    assert "bad shadow configuration: tight side 'plus' must be 'ln' or 'in', got 'xx'" in err
+
+
+def test_shadow_validate_uniform_names_a_bad_hybrid_spec(capsys):
+    expect_usage_error("shadow-validate", "--type", "B,1,1", "--uniform", "up,a,b")
+    err = capsys.readouterr().err
+    assert "bad shadow configuration: bad pattern spec 'up,a,b'; use " in err
+    assert "invalid literal" not in err
+
+
+def _b11_config(tmp_path, config) -> str:
+    """A config that colours every class of B,1,1, the first one with ``config``."""
+    ok = {"family": "up", "m": 0, "t": 1}
+    classes = [{"rep": rep, "config": ok} for rep in ("-e1", "-d1", "-2d1")]
+    classes[0] = {"rep": "-e1", "config": config}
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps({"classes": classes}), encoding="utf-8")
+    return str(path)
+
+
+def test_shadow_validate_config_tight_side_is_ln_or_in(tmp_path, capsys):
+    good = _b11_config(tmp_path, {"family": "tight", "plus": "ln", "minus": "in"})
+    assert main(["shadow-validate", "--type", "B,1,1", "--config", good]) in (0, 1)
+    capsys.readouterr()
+    bad = _b11_config(tmp_path, {"family": "tight", "plus": "LN", "minus": "in"})
+    expect_usage_error("shadow-validate", "--type", "B,1,1", "--config", bad)
+    err = capsys.readouterr().err
+    assert "bad shadow configuration: tight side 'plus' must be 'ln' or 'in', got 'LN'" in err
+
+
+@pytest.mark.parametrize("key", ["m", "t"])
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "1", None])
+def test_shadow_validate_config_hybrid_parts_are_json_integers(tmp_path, capsys, key, value):
+    config = {"family": "up", "m": 0, "t": 1, key: value}
+    path = _b11_config(tmp_path, config)
+    expect_usage_error("shadow-validate", "--type", "B,1,1", "--config", path)
+    err = capsys.readouterr().err
+    assert f"bad shadow configuration: hybrid '{key}' must be an integer, got {value!r}" in err
+
+
 def test_shadow_validate_config_file(tmp_path, capsys):
     cfg = {
         "classes": [

@@ -172,3 +172,40 @@ def test_sign_levels_examples():
     assert IntegerSet.where_positive(Fraction(1), -half) == IntegerSet.at_most(1)
     assert IntegerSet.where_nonnegative(Fraction(0), Fraction(0)) == IntegerSet.all()
     assert IntegerSet.where_positive(Fraction(0), Fraction(0)) == IntegerSet.empty()
+
+
+LEVELS = range(-60, 61)
+
+
+def _assert_sign_levels(c, w):
+    nonnegative = IntegerSet.where_nonnegative(c, w)
+    positive = IntegerSet.where_positive(c, w)
+    assert {k for k in LEVELS if k in nonnegative} == {k for k in LEVELS if c + k * w >= 0}
+    assert {k for k in LEVELS if k in positive} == {k for k in LEVELS if c + k * w > 0}
+    # the ray ends are ints, whatever the type of c and w
+    assert all(type(end) is int for s in (nonnegative, positive) for end in (s.down, s.up) if end is not None)
+
+
+@given(st.integers(-40, 40), st.integers(-40, 40), st.booleans())
+def test_sign_levels_of_ints_and_fractions_match_brute_force(c, w, as_fractions):
+    if as_fractions:
+        c, w = Fraction(c, 3), Fraction(w, 7)
+    _assert_sign_levels(c, w)
+
+
+@given(st.integers(-12, 12), st.integers(-5, 5).filter(bool), st.booleans())
+def test_sign_levels_on_exact_multiples(m, w, as_fractions):
+    """c = m*w puts the boundary on a level, for w of either sign."""
+    if as_fractions:
+        w = Fraction(w, 4)
+    _assert_sign_levels(m * w, w)
+    _assert_sign_levels(-m * w, w)
+
+
+def test_sign_levels_with_negative_w_examples():
+    for c, w in [(6, -3), (-6, -3), (7, -3), (-7, -3), (Fraction(3, 2), Fraction(-1, 2))]:
+        _assert_sign_levels(c, w)
+    assert IntegerSet.where_nonnegative(6, -3) == IntegerSet.at_most(2)
+    assert IntegerSet.where_positive(6, -3) == IntegerSet.at_most(1)
+    assert IntegerSet.where_nonnegative(-7, -3) == IntegerSet.at_most(-3)
+    assert IntegerSet.where_positive(Fraction(3, 2), Fraction(-1, 2)) == IntegerSet.at_most(2)

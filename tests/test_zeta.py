@@ -25,6 +25,8 @@ from math import ceil, lcm
 from typing import NamedTuple
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from superroots import linalg
 from superroots.affine import AffineRootSystem, build_affine
@@ -236,6 +238,156 @@ def test_functional_on_line_rejects_another_basis_length():
     with pytest.raises(BasisMismatch) as exc:
         func.on_line(root(1, 0, 0))
     assert not isinstance(exc.value, OutsideSpan)
+
+
+# -- the Fraction reading, kept as the oracle of the integer one -------------------
+
+
+def fraction_dot(u, v) -> Q:
+    return sum((x * y for x, y in zip(u, v) if x and y), Q(0))
+
+
+class FractionFunctional(NamedTuple):
+    """A functional read in ``Fraction``s: the covector ``values @ left / den``
+    entry by entry, and the kernel rows, as ``factor_roots`` gives them.  The
+    oracle of ``LinearFunctional``, which reads the same functional in
+    integers over one positive denominator."""
+
+    covector: tuple[Q, ...]
+    kernel: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, basis_roots, values) -> "FractionFunctional":
+        fac = factor_roots(basis_roots)
+        cov = tuple(fraction_dot(values, col) / fac.den for col in zip(*fac.left))
+        return cls(cov, tuple(map(tuple, fac.kernel)))
+
+    def value(self, r: Root) -> Q:
+        vec = r.vector()
+        if len(vec) != len(self.covector):
+            raise BasisMismatch(f"{r} does not live over the functional's basis")
+        if any(fraction_dot(row, vec) for row in self.kernel):
+            raise OutsideSpan(f"{r} is outside the functional's span")
+        return fraction_dot(self.covector, vec)
+
+    def on_line(self, line: Root) -> tuple[Q, Q, IntegerSet]:
+        vec = Root(line.coords, 0, line.sigma).vector()
+        if len(vec) != len(self.covector):
+            raise BasisMismatch(f"{line} does not live over the functional's basis")
+        at = None  # the level some residue pins, once one does
+        levels = IntegerSet.all()
+        for row in self.kernel:
+            a, b = fraction_dot(row, vec), row[-2]
+            if b == 0:
+                if a:
+                    levels = IntegerSet.empty()
+                    break
+            elif at is None:
+                at = -a / b
+                levels = IntegerSet.of(int(at)) if at.denominator == 1 else IntegerSet.empty()
+            elif -a / b != at:
+                levels = IntegerSet.empty()
+                break
+        return fraction_dot(self.covector, vec), self.covector[-2], levels
+
+
+def _reading(read, r):
+    try:
+        return read(r)
+    except (BasisMismatch, OutsideSpan) as exc:
+        return type(exc)
+
+
+def _mixed_kernel(func: LinearFunctional) -> LinearFunctional:
+    """The same functional with a kernel row that holds delta added to every
+    other row: another basis of the left null space, most often with delta in
+    more than one row (``factor_roots`` never puts it in two)."""
+    rows = func._kernel
+    pivot = next((row for row in rows if row[-2]), None)
+    if pivot is None or len(rows) < 2:
+        return func
+    mixed = tuple(row if row is pivot else tuple(x + y for x, y in zip(row, pivot)) for row in rows)
+    return LinearFunctional(func.basis_roots, func.values, func._covector, mixed, func._den)
+
+
+def _assert_matches_the_oracle(basis, values, probes, mix):
+    func = LinearFunctional(basis, values)
+    assert func._den > 0
+    if mix:
+        func = _mixed_kernel(func)
+    mirr = func.mirrored()
+    assert mirr._den == func._den
+    pairs = (
+        (func, FractionFunctional.of(basis, values)),
+        (mirr, FractionFunctional.of(mirr.basis_roots, values)),
+    )
+    for r in probes:
+        for f, oracle in pairs:
+            assert _reading(f.value, r) == _reading(oracle.value, r)
+            assert _reading(f.on_line, r) == _reading(oracle.on_line, r)
+
+
+e1_up = Root((Q(1), Q(0)), 1, 0)
+#: factor_roots ends on the pivot -1 here
+NEGATIVE_PIVOT = (root(-1, 0), e1_up)
+#: delta is off this span, which meets e1's line at k = 1/2 only
+HALF_LEVEL = (Root((Q(2), Q(0)), 1, 0), Root((Q(0), Q(2)), 1, 0))
+#: its kernel has two rows, one holding delta, so a mixed kernel holds it twice
+TWO_ROWS = (e1_up, Root((Q(0), Q(2)), 1, 0))
+PROBES = tuple(
+    Root((Q(x), Q(y, 2)), k, sigma)
+    for x in (-2, 1) for y in (-1, 0, 4) for k in (-1, 0, 3) for sigma in (0, 1)
+)
+
+
+def test_oracle_examples_reach_the_cases_they_name():
+    assert factor_roots(NEGATIVE_PIVOT).den < 0
+    assert LinearFunctional(NEGATIVE_PIVOT, (Q(1), Q(3)))._den > 0
+    mixed = _mixed_kernel(LinearFunctional(TWO_ROWS, (Q(1), Q(-1))))
+    assert sum(1 for row in mixed._kernel if row[-2]) >= 2
+    oracle = FractionFunctional.of(HALF_LEVEL, (Q(3), Q(1)))
+    assert oracle.on_line(root(1, 0))[2] == IntegerSet.empty()
+    assert oracle.on_line(root(2, 0))[2] == IntegerSet.of(1)
+
+
+small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def functional_cases(draw):
+    """An independent basis, values on it, probe roots and whether to mix the
+    kernel.  Half of the probes are combinations of the basis, so they meet
+    the span, at a level that need not be an integer."""
+    dim = draw(st.integers(1, 3))
+    sigmas = st.sampled_from((-1, 0, 0, 1))
+
+    def some_root(level):
+        return Root(tuple(draw(small_q) for _ in range(dim)), draw(level), draw(sigmas))
+
+    basis = tuple(some_root(st.integers(-2, 2)) for _ in range(draw(st.integers(1, dim + 2))))
+    assume(linalg.factor([list(row) for row in zip(*(b.vector() for b in basis))]) is not None)
+    values = tuple(draw(small_q) for _ in basis)
+    probes = [some_root(st.integers(-3, 3)) for _ in range(3)]
+    for _ in range(3):
+        coeffs = [draw(small_q) for _ in basis]
+        vec = [fraction_dot(coeffs, col) for col in zip(*(b.vector() for b in basis))]
+        # the line meets the span at vec's level, which need not be an integer;
+        # the probe sits there when it is one (and its sigma part is)
+        level, sigma = vec[-2:]
+        level = int(level) if level.denominator == 1 else draw(st.integers(-3, 3))
+        probes.append(Root(tuple(vec[:-2]), level, int(sigma) if sigma.denominator == 1 else 0))
+    return basis, values, probes, draw(st.booleans())
+
+
+@example((NEGATIVE_PIVOT, (Q(1), Q(3)), PROBES, False))
+@example((HALF_LEVEL, (Q(3), Q(1)), PROBES, False))
+@example((TWO_ROWS, (Q(1), Q(-1)), PROBES, True))
+@given(functional_cases())
+def test_integer_functional_matches_the_fraction_oracle(case):
+    """``value``, ``on_line`` and ``mirrored()`` agree with the Fraction
+    reading on every probe, the denominator stays positive whatever the sign
+    of the last pivot, and a kernel with delta in several rows reads alike."""
+    _assert_matches_the_oracle(*case)
 
 
 # -- select_base -----------------------------------------------------------------
@@ -995,6 +1147,53 @@ def test_zeta_item_names_each_class_by_position(token, direction, monkeypatch):
     classes = len(s.real_class_reps)
     assert len(entries) <= classes, entries
     assert len(hashes) <= 2 * classes, hashes
+
+
+@pytest.fixture
+def sign_level_inputs(monkeypatch):
+    """Install, on demand, a recorder of every (c, w) that
+    ``IntegerSet.where_nonnegative`` and ``where_positive`` receive."""
+    seen = []
+
+    def install():
+        for name in ("where_nonnegative", "where_positive"):
+            original = getattr(IntegerSet, name)
+
+            def recorded(c, w, original=original):
+                seen.append((c, w))
+                return original(c, w)
+
+            monkeypatch.setattr(IntegerSet, name, staticmethod(recorded))
+        return seen
+
+    return install
+
+
+def _all_ints(pairs) -> bool:
+    return all(type(x) is int for pair in pairs for x in pair)  # no bool, no Fraction
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_verify_zeta_reads_every_scenario_in_integers(name, sign_level_inputs):
+    """Within a scenario, only verify_zeta sets sign levels; every cone and
+    shadow check it makes is on integer values."""
+    seen = sign_level_inputs()
+    *_, problems = run_scenario(name, 6)
+    assert problems == []
+    assert seen and _all_ints(seen), seen[:5]
+
+
+@pytest.mark.parametrize("direction", [UP, DOWN])
+@pytest.mark.parametrize("token", ["B,1,1", "D21L", "A,2,2"])
+def test_warm_verify_zeta_reads_in_integers(token, direction, sign_level_inputs):
+    s = build_affine(parse_type_token(token))
+    subset, dec, table, parabolics = setup_system(s, [(0, 1)] * 3, direction)  # <= 3 components
+    result = construct_zeta(s, dec.components, parabolics, direction)
+    shadow = Shadow(s, table)
+    assert verify_zeta(result, subset, 10, shadow=shadow) == []  # warm
+    seen = sign_level_inputs()
+    assert verify_zeta(result, subset, 10, shadow=shadow) == []
+    assert seen and _all_ints(seen), seen[:5]
 
 
 # -- serialisation ----------------------------------------------------------------
