@@ -58,6 +58,7 @@ from .shadows import (
     ClassShadow,
     Shadow,
     ShadowReport,
+    anchored_class,
     anchored_hybrid,
     hybrid_class,
     induce_from_functional,

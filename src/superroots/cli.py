@@ -28,12 +28,10 @@ from .affine import AffineRootSystem, build_affine
 from .errors import (
     HypothesisViolated,
     NotAFiniteRootSystem,
-    NotAShadowPattern,
     RankError,
     SuperrootsError,
 )
 from .finite import build_finite, check_supersystem_axioms, parse_type_token
-from .intsets import IntegerSet
 from .roots import Root
 from .shadows import (
     DOWN,
@@ -41,15 +39,15 @@ from .shadows import (
     FULL_LN,
     TIGHT,
     UP,
-    ClassShadow,
     Shadow,
-    hybrid_sets,
+    anchored_class,
     validate_shadow,
 )
 from .subsets import check_parabolic, component_parabolic, decompose, even_subset
 from .tables import classification_report, discrepancies, golden_classification
 from .zeta import construct_zeta, hybrid_assignment_shadows, verify_zeta
 
+_INTEGER = re.compile(r"-?[0-9]+")  # int() would also take "+1", "0_0" and " 1"
 _TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?([a-zA-Z][a-zA-Z0-9]*)")
 
 
@@ -189,28 +187,6 @@ def _cmd_axioms(parser, args) -> int:
     return 0 if report.passed else 1
 
 
-def _class_from_config(system: AffineRootSystem, anchor: Root, cfg: dict) -> ClassShadow:
-    """The colouring of ``anchor``'s class, with ``cfg`` read on anchor's side."""
-    family = cfg.get("family")
-    rep, side = system.class_rep(anchor)
-    full, none = IntegerSet.all(), IntegerSet.empty()
-    if family in (FULL_LN, FULL_IN):
-        plus = minus = full if family == FULL_LN else none
-    elif family == TIGHT:
-        for key in ("plus", "minus"):
-            if cfg[key] not in ("ln", "in"):
-                raise ValueError(f"tight side {key!r} must be 'ln' or 'in', got {cfg[key]!r}")
-        plus, minus = (full if cfg[key] == "ln" else none for key in ("plus", "minus"))
-    elif family in (UP, DOWN):
-        for key in ("m", "t"):
-            if type(cfg[key]) is not int:  # a JSON integer: no float, bool or string
-                raise ValueError(f"hybrid {key!r} must be an integer, got {cfg[key]!r}")
-        plus, minus = hybrid_sets(family, cfg["m"], cfg["t"])
-    else:
-        raise ValueError(f"unknown pattern family {family!r}")
-    return ClassShadow(rep, plus, minus) if side > 0 else ClassShadow(rep, minus, plus)
-
-
 def _uniform_config(spec: str) -> dict:
     parts = spec.split(",")
     family = parts[0]
@@ -218,11 +194,8 @@ def _uniform_config(spec: str) -> dict:
         return {"family": family}
     if family == TIGHT and len(parts) == 3:
         return {"family": TIGHT, "plus": parts[1], "minus": parts[2]}
-    if family in (UP, DOWN) and len(parts) == 3:
-        try:
-            return {"family": family, "m": int(parts[1]), "t": int(parts[2])}
-        except ValueError:
-            pass  # refused below, naming the whole spec
+    if family in (UP, DOWN) and len(parts) == 3 and all(map(_INTEGER.fullmatch, parts[1:])):
+        return {"family": family, "m": int(parts[1]), "t": int(parts[2])}
     raise ValueError(
         f"bad pattern spec {spec!r}; use full_ln, full_in, tight,<ln|in>,<ln|in>, "
         "or up|down,<m>,<t>"
@@ -236,14 +209,14 @@ def _cmd_shadow_validate(parser, args) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
             classes = [
-                _class_from_config(system, parse_root_expr(system, entry["rep"]), entry["config"])
+                anchored_class(system, parse_root_expr(system, entry["rep"]), entry["config"])
                 for entry in data["classes"]
             ]
         else:
             cfg = _uniform_config(args.uniform)
-            classes = [_class_from_config(system, rep, cfg) for rep in system.real_class_reps]
+            classes = [anchored_class(system, rep, cfg) for rep in system.real_class_reps]
         shadow = Shadow.of(system, classes)
-    except (OSError, KeyError, ValueError, NotAShadowPattern, SuperrootsError) as exc:
+    except (OSError, KeyError, ValueError, SuperrootsError) as exc:
         parser.error(f"bad shadow configuration: {exc}")
     report = validate_shadow(shadow, args.window)
     out = {

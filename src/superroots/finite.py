@@ -265,12 +265,8 @@ class FiniteRootSet:
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
-    @cached_property
-    def members(self) -> frozenset[Root]:
-        return frozenset(self.roots)
-
     def __contains__(self, r: Root) -> bool:
-        return r in self.members
+        return not r.k and not r.sigma and self._view.find(r.coords) is not None
 
     @cached_property
     def nonzero(self) -> tuple[Root, ...]:
@@ -281,7 +277,7 @@ class FiniteRootSet:
         return _IntegerView.of(self.roots, self.basis)
 
     def parity(self, r: Root) -> str:
-        if r not in self.members:
+        if r not in self:
             raise NotARoot(f"{r} is not a member")
         return ODD if r in self.odd else EVEN
 

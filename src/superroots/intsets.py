@@ -79,24 +79,15 @@ class IntegerSet:
     def make(down: int | None, up: int | None, pts) -> "IntegerSet":
         """Normalize an arbitrary (down-ray, up-ray, points) description."""
         points = set(pts)
+        # fold adjacent points into the rays; once folded, the rays can only meet
+        if down is not None:
+            while down + 1 in points:
+                down += 1
+        if up is not None:
+            while up - 1 in points:
+                up -= 1
         if down is not None and up is not None and up <= down + 1:
             return IntegerSet.all()
-        # fold adjacent points into the rays until stable
-        changed = True
-        while changed:
-            changed = False
-            if down is not None:
-                while down + 1 in points:
-                    points.discard(down + 1)
-                    down += 1
-                    changed = True
-            if up is not None:
-                while up - 1 in points:
-                    points.discard(up - 1)
-                    up -= 1
-                    changed = True
-            if down is not None and up is not None and up <= down + 1:
-                return IntegerSet.all()
         points = {p for p in points
                   if (down is None or p > down) and (up is None or p < up)}
         return IntegerSet(down=down, up=up, points=frozenset(points))
@@ -150,24 +141,19 @@ class IntegerSet:
         # a full ray survives intersection only if both sides carry one
         down = None if self.down is None or other.down is None else min(self.down, other.down)
         up = None if self.up is None or other.up is None else max(self.up, other.up)
-        pts: set[int] = set()
-        # points of one side that land in the other
+        # each side's points that the other holds, and the levels where one
+        # side's down-ray overlaps the other's up-ray; make drops what the rays cover
+        pts = set()
         for p in self.points:
             if p in other:
                 pts.add(p)
         for p in other.points:
             if p in self:
                 pts.add(p)
-        # ray-overlap fragments: my down-ray against other's up-ray etc.
         if self.down is not None and other.up is not None and other.up <= self.down:
-            # [other.up, self.down] survives unless covered by combined rays
-            for k in range(other.up, self.down + 1):
-                if (down is None or k > down) and (up is None or k < up):
-                    pts.add(k)
+            pts.update(range(other.up, self.down + 1))
         if other.down is not None and self.up is not None and self.up <= other.down:
-            for k in range(self.up, other.down + 1):
-                if (down is None or k > down) and (up is None or k < up):
-                    pts.add(k)
+            pts.update(range(self.up, other.down + 1))
         return IntegerSet.make(down, up, pts)
 
     def __add__(self, other: "IntegerSet") -> "IntegerSet":

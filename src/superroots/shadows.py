@@ -125,19 +125,38 @@ def tight_class(rep: Root, plus_ln: bool, minus_ln: bool) -> ClassShadow:
     return ClassShadow(rep, full if plus_ln else none, full if minus_ln else none)
 
 
+def anchored_class(system: AffineRootSystem, anchor: Root, cfg: dict) -> ClassShadow:
+    """The colouring of ``anchor``'s class, with ``cfg`` (as ``ClassShadow.config``
+    writes it) read on anchor's side.
+
+    The stored representative is always the canonical one, so when the
+    anchor is the negative side the two sides swap places.
+    """
+    family = cfg.get("family")
+    rep, side = system.class_rep(anchor)
+    full, none = IntegerSet.all(), IntegerSet.empty()
+    if family in (FULL_LN, FULL_IN):
+        plus = minus = full if family == FULL_LN else none
+    elif family == TIGHT:
+        for key in ("plus", "minus"):
+            if cfg[key] not in ("ln", "in"):
+                raise NotAShadowPattern(f"tight side {key!r} must be 'ln' or 'in', got {cfg[key]!r}")
+        plus, minus = (full if cfg[key] == "ln" else none for key in ("plus", "minus"))
+    elif family in (UP, DOWN):
+        for key in ("m", "t"):
+            if type(cfg[key]) is not int:  # a JSON integer: no float, bool or string
+                raise NotAShadowPattern(f"hybrid {key!r} must be an integer, got {cfg[key]!r}")
+        plus, minus = hybrid_sets(family, cfg["m"], cfg["t"])
+    else:
+        raise NotAShadowPattern(f"unknown pattern family {family!r}")
+    return ClassShadow(rep, plus, minus) if side > 0 else ClassShadow(rep, minus, plus)
+
+
 def anchored_hybrid(
     system: AffineRootSystem, anchor: Root, direction: str, m: int, t: int
 ) -> ClassShadow:
-    """Hybrid colouring described relative to ``anchor`` (either class side).
-
-    The stored representative is always the canonical one, so when the
-    anchor is the negative side the two ray sets swap places.
-    """
-    rep, side = system.class_rep(anchor)
-    plus, minus = hybrid_sets(direction, m, t)
-    if side > 0:
-        return ClassShadow(rep, plus, minus)
-    return ClassShadow(rep, minus, plus)
+    """Hybrid colouring described relative to ``anchor`` (either class side)."""
+    return anchored_class(system, anchor, {"family": direction, "m": m, "t": t})
 
 
 @dataclass(frozen=True)

@@ -114,24 +114,7 @@ class RootSubset:
         """Windowed violations of (S + S) intersect R subset-of S, in the
         order of a scan over ``window_members(kmax)`` squared; window levels
         are walked only on the pairs of lines ``_closure_gaps`` flags."""
-        gaps = list(_closure_gaps(self))
-        if not gaps:
-            return []
-        lines = self.system.lines
-        window = range(-kmax, kmax + 1)
-        levels = {pos: [k for k in window if k in ks] for pos, ks in self._at.items()}
-        rows = {}
-        for a, b, t in gaps:
-            rows.setdefault(a, []).append((lines[b], levels[b], lines[t], self.levels_at(t)))
-        out = []
-        for a, row in rows.items():
-            for i in levels[a]:
-                alpha = lines[a].shift(i)
-                for lb, kb, lt, have in row:
-                    for j in kb:
-                        if i + j not in have:
-                            out.append((alpha, lb.shift(j), lt.shift(i + j)))
-        return out
+        return _window_witnesses(self, list(_closure_gaps(self)), kmax)
 
     def even_part(self) -> "RootSubset":
         entries = self.system.line_entries
@@ -160,6 +143,27 @@ def _closure_gaps(P: RootSubset, S: RootSubset | None = None):
                 reach = reach.intersect(need[t])
             if not reach.is_subset(have.get(t, _EMPTY)):
                 yield a, b, t
+
+
+def _window_witnesses(P: RootSubset, gaps: list, kmax: int) -> list[tuple[Root, Root, Root]]:
+    """``closure_violations`` on the pairs of lines ``gaps`` (from ``_closure_gaps(P)``)."""
+    if not gaps:
+        return []
+    lines = P.system.lines
+    window = range(-kmax, kmax + 1)
+    levels = {pos: [k for k in window if k in ks] for pos, ks in P._at.items()}
+    rows = {}
+    for a, b, t in gaps:
+        rows.setdefault(a, []).append((lines[b], levels[b], lines[t], P.levels_at(t)))
+    out = []
+    for a, row in rows.items():
+        for i in levels[a]:
+            alpha = lines[a].shift(i)
+            for lb, kb, lt, have in row:
+                for j in kb:
+                    if i + j not in have:
+                        out.append((alpha, lb.shift(j), lt.shift(i + j)))
+    return out
 
 
 def full_lines_subset(system: AffineRootSystem, finite_vectors, include_imaginary: bool = True) -> RootSubset:
@@ -232,14 +236,13 @@ def decompose(system: AffineRootSystem, subset: RootSubset, kmax: int = 6) -> De
     if not subset.is_symmetric():
         raise HypothesisViolated("subset is not symmetric")
     gaps = list(_closure_gaps(subset))
-    if gaps:
-        bad = subset.closure_violations(kmax)
-        if bad:
-            a, b, s = bad[0]
-            raise HypothesisViolated(
-                f"subset not closed: {system.format(a)} + {system.format(b)} = {system.format(s)} missing",
-                witness=s,
-            )
+    bad = _window_witnesses(subset, gaps, kmax)
+    if bad:
+        a, b, s = bad[0]
+        raise HypothesisViolated(
+            f"subset not closed: {system.format(a)} + {system.format(b)} = {system.format(s)} missing",
+            witness=s,
+        )
     lines, entries = system.lines, system.line_entries
     core_lines = [system.zero_line]
     for pos, ks in subset.even_part().by_position():

@@ -37,10 +37,6 @@ def _entries(r: Root) -> tuple[Q, ...]:
     return r.coords + (Q(r.k), Q(r.sigma))
 
 
-def _is_zero(r: Root) -> bool:
-    return all(x == 0 for x in _entries(r))
-
-
 def parallel_ratio(a: Root, b: Root) -> Q | None:
     """The scalar c with a = c * b, or None (b must be nonzero)."""
     ea, eb = _entries(a), _entries(b)
@@ -65,7 +61,7 @@ class SupportComponent:
     def __post_init__(self):
         if self.extent not in _EXTENTS:
             raise ValueError(f"unknown extent {self.extent!r}")
-        if self.extent != EXT_POINT and _is_zero(self.step):
+        if self.extent != EXT_POINT and self.step.is_zero_vector():
             raise ValueError("an infinite component needs a nonzero step")
 
     @property
@@ -80,7 +76,7 @@ class SupportComponent:
 
     def contains(self, x: Root) -> bool:
         d = x - self.anchor
-        if _is_zero(d):
+        if d.is_zero_vector():
             return True
         if self.extent == EXT_POINT:
             return False
@@ -118,7 +114,7 @@ class SupportSet:
 
 def is_bounded_direction(supp: SupportSet, alpha: Root) -> bool:
     """True when {k > 0 : lam + k*alpha in supp} is finite for every lam."""
-    if _is_zero(alpha):
+    if alpha.is_zero_vector():
         return supp.is_empty
     for comp in supp.components:
         if comp.extent == EXT_POINT:
@@ -158,7 +154,7 @@ def _parallel_cover(
 ) -> tuple[list[_ModularRay], list[int]]:
     """Cover of {target_anchor + m*step} by comp, comp.step = ratio*step."""
     offset = target_anchor - comp.anchor
-    if _is_zero(offset):
+    if offset.is_zero_vector():
         e = Q(0)
     else:
         e_ratio = parallel_ratio(offset, step)
@@ -261,7 +257,7 @@ def _covers_progression(
 
 def is_shift_stable(supp: SupportSet, alpha: Root) -> bool:
     """True when alpha + supp is contained in supp."""
-    if supp.is_empty or _is_zero(alpha):
+    if supp.is_empty or alpha.is_zero_vector():
         return True
     infinite = [c for c in supp.components if c.extent != EXT_POINT]
     if infinite and all(parallel_ratio(alpha, c.step) is None for c in infinite):
@@ -284,7 +280,7 @@ def is_shift_stable(supp: SupportSet, alpha: Root) -> bool:
         for other in supp.components:
             if other.extent == EXT_POINT:
                 d = other.anchor - shifted_anchor
-                if _is_zero(d):
+                if d.is_zero_vector():
                     points.append(0)
                 else:
                     m = parallel_ratio(d, comp.step)

@@ -24,14 +24,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .affine import AffineRootSystem
-from .basefind import factor_roots, find_base, highest_root
-from .errors import (
-    BasisMismatch,
-    CaseMismatch,
-    NoCompatibleBase,
-    NotAFiniteRootSystem,
-    OutsideSpan,
-)
+from .basefind import _expansions, _integral, factor_roots, find_base, highest_root
+from .errors import BasisMismatch, CaseMismatch, NoCompatibleBase, OutsideSpan
 from .intsets import IntegerSet
 # solve stays bound here for the benchmark tracer, whose self-test wraps it at
 # every module that imports it
@@ -156,25 +150,22 @@ class _StartBase(NamedTuple):
 
 
 def _start_base(system: AffineRootSystem, comp: Component) -> _StartBase:
-    """The start base (the component's base plus delta - theta), in integers."""
+    """The start base (the component's base plus delta - theta), in integers.
+
+    delta = (delta - theta) + theta, so delta's marks are theta's coefficients
+    and 1; a line at level 0 has its expansion over the component's base and 0.
+    """
     dot_base = find_base(comp.dot)
-    theta, _ = highest_root(comp.dot, dot_base)
+    theta, coeffs = highest_root(comp.dot, dot_base)
     start = dot_base + (system.delta - theta,)
-    fac = factor_roots(start)
     lines = tuple(pos for pos, _ in comp.subset.by_position() if pos != system.zero_line)
-    solved = [fac.solve(r.vector()) for r in (system.delta, *(system.lines[p] for p in lines))]
-    if None in solved or any(x.denominator != 1 for xs in solved for x in xs) or min(solved[0]) <= 0:
-        raise NotAFiniteRootSystem(
-            f"component {comp.index}: no positive integral marks and integral lines "
-            "over the start base"
-        )
-    marks, *xs = solved
+    roots = [system.lines[p] for p in lines]
     return _StartBase(
         lines,
         tuple(lines.index(system.line_negation[p]) for p in lines),
         tuple(tuple(system.cartan(b, a) for b in start) for a in start),
-        tuple(int(m) for m in marks),
-        tuple(tuple(int(x) for x in line) for line in xs),
+        coeffs + (1,),
+        tuple(_integral(r, xs) + (0,) for r, xs in zip(roots, _expansions(dot_base, roots))),
     )
 
 
@@ -298,7 +289,7 @@ class ZetaResult:
         for zc in self.components:
             comps.append(
                 {
-                    "theta": system.format(system.delta - zc.base.a0),
+                    "theta": system.format(zc.base.theta(system.delta)),
                     "base": [system.format(e) for e in zc.base.elements],
                     "marks": list(zc.base.marks),
                     "t": zc.base.t,

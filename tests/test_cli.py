@@ -176,6 +176,13 @@ def test_shadow_validate_uniform_names_a_bad_hybrid_spec(capsys):
     assert "invalid literal" not in err
 
 
+@pytest.mark.parametrize("spec", ["up,0_0,+1", "up, 0 ,1", "down,1,+0", "up,\u0661,0"])
+def test_shadow_validate_uniform_takes_only_plain_integers(capsys, spec):
+    """int() would read "0_0", "+1", " 0 " and other digits; the spec takes -?[0-9]+ only."""
+    expect_usage_error("shadow-validate", "--type", "B,1,1", "--window", "1", "--uniform", spec)
+    assert f"bad shadow configuration: bad pattern spec {spec!r}; use " in capsys.readouterr().err
+
+
 def _b11_config(tmp_path, config) -> str:
     """A config that colours every class of B,1,1, the first one with ``config``."""
     ok = {"family": "up", "m": 0, "t": 1}

@@ -95,7 +95,7 @@ def test_member_counts(token, counts):
     count, odd = counts
     rs = build_finite(parse_type_token(token))
     assert len(rs.roots) == count
-    assert len(rs.members) == count  # no duplicates survive normalisation
+    assert len(set(rs.roots)) == count  # no duplicates survive normalisation
     assert len(rs.odd) == odd  # a vector moved between the parts keeps the count
 
 
@@ -161,8 +161,12 @@ def test_contains_zero_and_negation():
         rs = build_finite(parse_type_token(token))
         zero = Root(tuple(Q(0) for _ in range(rs.basis.dim)))
         assert zero in rs
+        members = set(rs.roots)
         for r in rs.roots:
             assert -r in rs
+            # membership is the vector's, delta and sigma parts included
+            for other in (r.shift(1), Root(r.coords, 0, 1), r + r, r.scale(Q(1, 2))):
+                assert (other in rs) == (other in members)
 
 
 def test_b11_exact_member_list():
@@ -177,7 +181,7 @@ def test_b11_exact_member_list():
         e1 + d1, -(e1 + d1),
         e1 - d1, -(e1 - d1),
     }
-    assert rs.members == expected
+    assert set(rs.roots) == expected
     # gradation: the delta block and the mixed vectors are odd
     assert {r for r in rs.roots if r in rs.odd} == {
         d1, -d1, e1 + d1, -(e1 + d1), e1 - d1, -(e1 - d1)
@@ -341,7 +345,7 @@ def test_irreducible_components_splits_orthogonal_pieces():
     sizes = sorted(len(c.roots) for c in comps)
     assert sizes == [3, 3]  # each keeps the zero vector
     for c in comps:
-        assert Root((Q(0), Q(0))) in c.members
+        assert Root((Q(0), Q(0))) in c
 
 
 def test_span_rank():

@@ -32,6 +32,78 @@ def window_of(s: IntegerSet) -> set[int]:
     return {k for k in WINDOW if k in s}
 
 
+@st.composite
+def raw_intsets(draw):
+    """Sets built with the dataclass constructor: rays that meet, points on
+    or beside a ray, and all of Z with stray fields are all allowed."""
+    return IntegerSet(draw(maybe_ray), draw(maybe_ray), frozenset(draw(point_sets)),
+                      draw(st.integers(0, 9)) == 0)
+
+
+def fixpoint_make(down, up, pts) -> IntegerSet:
+    """``IntegerSet.make`` as it was with a fold-until-stable loop: the oracle
+    for the one-pass folds."""
+    points = set(pts)
+    if down is not None and up is not None and up <= down + 1:
+        return IntegerSet.all()
+    changed = True
+    while changed:
+        changed = False
+        if down is not None:
+            while down + 1 in points:
+                points.discard(down + 1)
+                down += 1
+                changed = True
+        if up is not None:
+            while up - 1 in points:
+                points.discard(up - 1)
+                up -= 1
+                changed = True
+        if down is not None and up is not None and up <= down + 1:
+            return IntegerSet.all()
+    points = {p for p in points
+              if (down is None or p > down) and (up is None or p < up)}
+    return IntegerSet(down=down, up=up, points=frozenset(points))
+
+
+def fragment_intersect(a: IntegerSet, b: IntegerSet) -> IntegerSet:
+    """``IntegerSet.intersect`` as it was, filtering each ray-overlap fragment
+    by the combined rays itself: the oracle for the version that leaves that
+    to ``make``."""
+    if a.is_all:
+        return b
+    if b.is_all:
+        return a
+    down = None if a.down is None or b.down is None else min(a.down, b.down)
+    up = None if a.up is None or b.up is None else max(a.up, b.up)
+    pts: set[int] = set()
+    for p in a.points:
+        if p in b:
+            pts.add(p)
+    for p in b.points:
+        if p in a:
+            pts.add(p)
+    if a.down is not None and b.up is not None and b.up <= a.down:
+        for k in range(b.up, a.down + 1):
+            if (down is None or k > down) and (up is None or k < up):
+                pts.add(k)
+    if b.down is not None and a.up is not None and a.up <= b.down:
+        for k in range(a.up, b.down + 1):
+            if (down is None or k > down) and (up is None or k < up):
+                pts.add(k)
+    return fixpoint_make(down, up, pts)
+
+
+@given(maybe_ray, maybe_ray, point_sets)
+def test_make_matches_the_fixpoint_oracle(down, up, pts):
+    assert IntegerSet.make(down, up, pts) == fixpoint_make(down, up, pts)
+
+
+@given(st.one_of(intsets(), raw_intsets()), st.one_of(intsets(), raw_intsets()))
+def test_intersect_matches_the_fragment_oracle(a, b):
+    assert a.intersect(b) == fragment_intersect(a, b)  # field by field
+
+
 def test_constructors():
     assert window_of(IntegerSet.empty()) == set()
     assert window_of(IntegerSet.all()) == set(WINDOW)

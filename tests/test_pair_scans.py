@@ -265,7 +265,7 @@ def scanned_contains(sys_, r: Root) -> bool:
     f = Root(c.coords)
     if f.is_zero_vector():
         return c.sigma == 0
-    if f not in sys_.finite.members:
+    if f not in sys_.finite.roots:
         return False
     return c.sigma in sys_.sigma_options.get(f, (0,))
 
@@ -301,13 +301,14 @@ def scanned_class_rep(sys_, r: Root) -> tuple[Root, int]:
 
 def scanned_axiom_e(rs: FiniteRootSet) -> str:
     """The first nonsingular alpha and beta with (alpha, beta) != 0 and beta +- alpha absent."""
+    members = set(rs.roots)
     for alpha in rs.roots:
         if scanned_kind(rs, alpha) != KIND_NONSINGULAR:
             continue
         for beta in rs.roots:
             if rs.basis.form(alpha, beta).is_zero():
                 continue
-            if beta + alpha not in rs.members and beta - alpha not in rs.members:
+            if beta + alpha not in members and beta - alpha not in members:
                 return f"{beta} +- {alpha} both absent"
     return ""
 
@@ -320,8 +321,9 @@ def scanned_axiom_report(rs: FiniteRootSet) -> str:
     """``str(check_supersystem_axioms(rs))`` from pair-by-pair ``basis.form`` scans."""
     zero = Root(tuple(Q(0) for _ in range(rs.basis.dim)))
     details = {"a": f"{len(rs.roots)} vectors, span rank {rs.span_rank}"}
-    passed = {"a": zero in rs.members}
-    missing = [r for r in rs.roots if -r not in rs.members]
+    members = set(rs.roots)
+    passed = {"a": zero in members}
+    missing = [r for r in rs.roots if -r not in members]
     details["b"] = f"missing -{missing[0]}" if missing else ""
     lines = [
         f"({ax}) {'ok' if passed.get(ax, not details[ax]) else 'FAIL'}"

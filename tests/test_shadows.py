@@ -12,6 +12,7 @@ from superroots import (
     NotAShadowPattern,
     Root,
     Shadow,
+    anchored_class,
     anchored_hybrid,
     build_affine,
     hybrid_class,
@@ -145,6 +146,37 @@ def test_anchored_hybrid_reanchors_to_canonical_rep():
     # anchoring at the canonical rep itself stores the sets untouched
     cs2 = anchored_hybrid(s, rep, UP, 2, 0)
     assert cs2.plus_ln == IntegerSet.at_least(2)
+
+
+def _round_trip_configs():
+    """(config given, config read back): tight (ln, ln) and (in, in) are
+    the full shapes, and ``config`` names them so."""
+    full = {"family": FULL_LN, "m": 0, "t": 0}
+    empty = {"family": FULL_IN, "m": 0, "t": 0}
+    pairs = [(full, full), (empty, empty)]
+    for plus in ("ln", "in"):
+        for minus in ("ln", "in"):
+            cfg = {"family": TIGHT, "plus": plus, "minus": minus}
+            pairs.append((cfg, full if plus == minus == "ln" else empty if plus == minus else cfg))
+    for family in (UP, DOWN):
+        for m in range(-3, 4):
+            for t in (-1, 0, 1):
+                cfg = {"family": family, "m": m, "t": t}
+                pairs.append((cfg, cfg))
+    return pairs
+
+
+@pytest.mark.parametrize("token", ["B,1,1", "D21L", "A,1,1"])
+def test_anchored_class_reads_back_through_config(token):
+    s = build_affine(parse_type_token(token))
+    for rep in s.real_class_reps[:2]:
+        for anchor in (rep, -rep):
+            for cfg, read in _round_trip_configs():
+                cs = anchored_class(s, anchor, cfg)
+                assert cs.rep == rep
+                if s.class_rep(anchor)[1] < 0:  # read the config on anchor's side
+                    cs = ClassShadow(rep, cs.minus_ln, cs.plus_ln)
+                assert cs.config == read, (token, anchor, cfg)
 
 
 def test_membership_examples_up_hybrid():

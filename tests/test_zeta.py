@@ -56,6 +56,7 @@ from superroots.zeta import (
     LinearFunctional,
     ZetaComponent,
     ZetaResult,
+    _start_base,
     construct_zeta,
     hybrid_assignment_shadows,
     select_base,
@@ -879,6 +880,23 @@ def test_base_catalogue_filters_never_fire(token):
                 elements = [cat.roots[e] for e in cand.elements]
                 mark_of = dict(zip(elements, cand.marks))
                 assert [mark_of[r] for r in orbit[frozenset(elements)]] == start_marks
+
+
+@pytest.mark.parametrize("token", [*ORACLE_TYPES, "F4", "B,3,1"])
+def test_start_base_matches_a_solve_over_the_start_base(token):
+    """delta = (delta - theta) + theta, so the marks are theta's coefficients and
+    1, and a line's coordinates are its expansion over the component's base and 0."""
+    system, comps = _components(token)
+    for comp in comps:
+        dot_base = find_base(comp.dot)
+        theta, _ = highest_root(comp.dot, dot_base)
+        fac = factor_roots(dot_base + (system.delta - theta,))
+        start = _start_base(system, comp)
+        assert start.marks == tuple(fac.solve(system.delta.vector())), (token, comp.index)
+        assert start.xs == tuple(
+            tuple(fac.solve(system.lines[pos].vector())) for pos in start.lines
+        ), (token, comp.index)
+        assert all(type(x) is int for x in start.marks + sum(start.xs, ()))
 
 
 @pytest.mark.parametrize("token", ["F4", "B,3,1", "B,4,1", "C,5", "D,4,1", "A,4,2", "D,4,2"])
