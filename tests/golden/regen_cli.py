@@ -55,6 +55,16 @@ def calls() -> list[list[str]]:
         ["tables", "--type", "G3", "--window", "6"],
         ["shadow-validate", "--type", "B,1,1", "--window", "4", "--uniform", "up,0,1"],
     ]
+    # cases whose finite members the builders scale differently: A,2,2's
+    # traceless blocks over denominator 3, a rational lambda, C(n) reached
+    # through D,1,n, and F4's half-sums
+    out += [
+        ["export", "--type", "A,2,2", "--window", "1"],
+        ["classify", "--type", "A,2,2"],
+        ["export", "--type", "D21L", "--window", "1", "--lambda", "5/3"],
+        ["export", "--type", "D,1,2", "--window", "1"],
+        ["tables", "--type", "F4"],
+    ]
     out += [
         ["shadow-validate", "--type", t, "--window", "2", "--config", name]
         for t, name in SHADOW_CONFIGS
