@@ -8,14 +8,14 @@ distinct abstract functionals then project to the same vector).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import groupby
 from typing import NamedTuple
 
 from .errors import NotARoot, NotRealRoot, RankError
-from .finite import FiniteRootSet, FiniteTypeId, ann_block_traceless, build_finite, gl_odd_vectors
+from .finite import FiniteRootSet, FiniteTypeId, ann_block_traceless, build_finite, gl_odd_coords
 from .roots import (
     EVEN,
     KIND_IMAGINARY,
@@ -48,7 +48,8 @@ class LineEntry(NamedTuple):
 class AffineRootSystem:
     type_id: FiniteTypeId
     finite: FiniteRootSet
-    #: allowed sigma multiplicities per nonzero finite vector
+    #: allowed sigma multiplicities per finite vector, keyed by its integer
+    #: coordinates (``finite._view.coords``); a vector not listed takes sigma 0
     sigma_options: dict
     lambda_value: Q | None = None
 
@@ -78,15 +79,17 @@ class AffineRootSystem:
         """Each line's integer key and the index in ``finite.roots`` of its
         finite vector, in position order.
 
-        The key is the vector's coordinates over the members' common
-        denominator (``finite._view``), sigma last.  Sorting on it sorts the
-        lines in ``Root.key`` order, so positions follow that order.
+        The key is the vector's integer coordinates over the members' common
+        denominator (``finite._view``), sigma last; the sigma options are
+        read by those coordinates too, so no ``Root`` is hashed.  Sorting on
+        the keys sorts the lines in ``Root.key`` order, so positions follow
+        that order.
         """
-        fin = self.finite
+        options = self.sigma_options
         return tuple(sorted(
             (x + (s,), i)
-            for i, x in enumerate(fin._view.coords)
-            for s in self.sigma_options.get(fin.roots[i], (0,))
+            for i, x in enumerate(self.finite._view.coords)
+            for s in options.get(x, (0,))
         ))
 
     @cached_property
@@ -100,7 +103,9 @@ class AffineRootSystem:
         """All (finite vector, sigma) line identifiers, zero line included;
         a line's position here is its name inside the library."""
         roots = self.finite.roots
-        return tuple(Root(roots[i].coords, 0, key[-1]) for key, i in self._line_keys)
+        return tuple(
+            Root(roots[i].coords, 0, key[-1]) if key[-1] else roots[i] for key, i in self._line_keys
+        )
 
     @property
     def line_scale(self) -> int:
@@ -126,7 +131,7 @@ class AffineRootSystem:
         its parity on its line alone, so each line is classified once here.
         """
         fin, neg = self.finite, self.line_negation
-        odd = {fin._view.find(r.coords) for r in fin.odd}
+        odd = fin.odd_at
         out = []
         for pos, (key, i) in enumerate(self._line_keys):
             kind = fin.kinds[i]
@@ -248,11 +253,11 @@ class AffineRootSystem:
 
     @cached_property
     def _coord_groups(self) -> tuple:
-        """The lines grouped by coords, in key order: (coords, ((sigma, entry), ...))."""
-        groups = groupby(zip(self.lines, self.line_entries), key=lambda le: le[0].coords)
-        return tuple(
-            (coords, tuple((line.sigma, e) for line, e in group)) for coords, group in groups
-        )
+        """The lines grouped by finite vector, in key order: (coords, ((sigma,
+        entry), ...)); grouped on the integer keys."""
+        keys, lines = self._line_keys, self.lines
+        groups = (tuple(g) for _, g in groupby(self.line_entries, lambda e: keys[e.pos][0][:-1]))
+        return tuple((lines[g[0].pos].coords, tuple((lines[e.pos].sigma, e) for e in g)) for g in groups)
 
     def window_entries(self, kmax: int):
         """Each root with |k| <= kmax and its line's entry, in ``Root.key()``
@@ -344,20 +349,16 @@ def build_affine(type_id: FiniteTypeId, lambda_value: Q | None = None) -> Affine
         if lam in EXCLUDED_LAMBDA:
             raise ValueError(f"lambda = {lam} is excluded")
         if type_id.family == "D21L":
-            fin = FiniteRootSet(
-                fin.type_id,
-                _evaluated_basis(fin.basis, lam),
-                fin.roots,
-                fin.odd,
-                fin.label,
-            )
+            fin = replace(fin, basis=_evaluated_basis(fin.basis, lam))
     else:
         lam = None
-    sigma_options: dict[Root, tuple[int, ...]] = {}
+    sigma_options: dict[tuple[int, ...], tuple[int, ...]] = {}
     if type_id.family == "ANN":
-        acc: dict[Root, set[int]] = {}
-        for v in gl_odd_vectors(fin.basis, type_id.n + 1, traceless=True):
+        # the builder's own odd vectors, over the view's denominator n + 1:
+        # their -1 entries leave no common factor to reduce
+        acc: dict[tuple[int, ...], set[int]] = {}
+        for v in gl_odd_coords(type_id.n + 1, fin.basis.dim, traceless=True):
             acc.setdefault(v, set()).add(1)
-            acc.setdefault(-v, set()).add(-1)
+            acc.setdefault(tuple(-c for c in v), set()).add(-1)
         sigma_options = {v: tuple(sorted(s)) for v, s in acc.items()}
     return AffineRootSystem(type_id, fin, sigma_options, lam)

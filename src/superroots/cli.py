@@ -28,6 +28,7 @@ from .affine import AffineRootSystem, build_affine
 from .errors import (
     HypothesisViolated,
     NotAFiniteRootSystem,
+    NotAShadowPattern,
     RankError,
     SuperrootsError,
 )
@@ -208,9 +209,14 @@ def _cmd_shadow_validate(parser, args) -> int:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
+            entries = data["classes"] if isinstance(data, dict) else None
+            if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("rep"), str) for e in entries
+            ):
+                raise NotAShadowPattern('expected {"classes": [{"rep": <root>, "config": {...}}, ...]}')
             classes = [
-                anchored_class(system, parse_root_expr(system, entry["rep"]), entry["config"])
-                for entry in data["classes"]
+                anchored_class(system, parse_root_expr(system, e["rep"]), e["config"])
+                for e in entries
             ]
         else:
             cfg = _uniform_config(args.uniform)

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import combinations, count, islice, permutations, product
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import NotARoot, RankError, TooFewSamples
 # matrix_rank stays bound here for the benchmark tracer, whose self-test wraps
@@ -153,10 +154,12 @@ class _IntegerView:
 
     ``coords[i]`` is member i's coordinates times ``denom``, the least common
     denominator of all members' coordinates, and ``index`` maps those tuples
-    back to i.  ``table[i][j]`` is the form value (r_i, r_j), summed in
-    integers and divided out once, so it is exactly ``basis.form(r_i, r_j)``.
-    When no norm of the basis carries lambda, ``numer[i][j]`` is that sum
-    itself: the table entries times one positive integer.
+    back to i.  The builders hand these tuples over as they make them; a
+    hand-built set's ``Root``s go through ``_integers`` first.
+    ``table[i][j]`` is the form value (r_i, r_j), summed in integers and
+    divided out once, so it is exactly ``basis.form(r_i, r_j)``.  When no
+    norm of the basis carries lambda, ``numer[i][j]`` is that sum itself:
+    the table entries times one positive integer.
     """
 
     denom: int
@@ -166,11 +169,7 @@ class _IntegerView:
     numer: tuple[tuple[int, ...], ...] | None
 
     @classmethod
-    def of(cls, roots: tuple[Root, ...], basis: AmbientBasis) -> "_IntegerView":
-        denom = lcm(*(c.denominator for r in roots for c in r.coords))
-        coords = tuple(
-            tuple(c.numerator * (denom // c.denominator) for c in r.coords) for r in roots
-        )
+    def of(cls, denom: int, coords: tuple[tuple[int, ...], ...], basis: AmbientBasis) -> "_IntegerView":
         # the Gram diagonal over one integer scale: a rational lambda such as
         # 5/3 gives its const and lambda parts denominators too
         gram = basis.gram_diag
@@ -183,10 +182,11 @@ class _IntegerView:
         rows = [[None] * len(coords) for _ in coords]
         numer = [[0] * len(coords) for _ in coords]
         for i, x in enumerate(coords):
+            cx, lx = list(map(mul, consts, x)), list(map(mul, lams, x))
             for j in range(i, len(coords)):
                 y = coords[j]
-                c = sum(g * a * b for g, a, b in zip(consts, x, y))
-                lam = sum(g * a * b for g, a, b in zip(lams, x, y)) if carries_lam else 0
+                c = sum(map(mul, cx, y))
+                lam = sum(map(mul, lx, y)) if carries_lam else 0
                 value = values.get((c, lam))
                 if value is None:
                     value = values[c, lam] = Scalar(Q(c, den), Q(lam, den))
@@ -211,6 +211,14 @@ class _IntegerView:
     def find(self, coords) -> int | None:
         """The index of the member with these (Fraction) coordinates, or None."""
         return self.index.get(self.ints(coords))
+
+
+def _integers(roots: tuple[Root, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Hand-built members' coordinates over their least common denominator."""
+    denom = lcm(*(c.denominator for r in roots for c in r.coords))
+    return denom, tuple(
+        tuple(c.numerator * (denom // c.denominator) for c in r.coords) for r in roots
+    )
 
 
 def _string_spans(alpha: tuple[int, ...], coords) -> list:
@@ -252,14 +260,17 @@ class FiniteRootSet:
 
     Pair queries between members (norms, kinds, root strings, the axioms and
     the components) read one integer view of the members, built on first
-    use; ``basis.form`` only pairs vectors that are not members.
+    use; ``basis.form`` only pairs vectors that are not members.  The grading
+    is kept as the positions in ``roots`` of the odd members.
     """
 
     type_id: FiniteTypeId
     basis: AmbientBasis
     roots: tuple[Root, ...]
-    odd: frozenset[Root]
+    odd_at: frozenset[int]
     label: str = ""
+    #: (denom, coords) of the integer view, when the builder made the roots from them
+    _ints: tuple | None = field(default=None, compare=False, repr=False)
     # the members' (p, q) per alpha-string, per alpha's coordinates; filled lazily
     _strings: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
@@ -273,13 +284,21 @@ class FiniteRootSet:
         return tuple(r for r in self.roots if not r.is_zero_vector())
 
     @cached_property
+    def odd(self) -> frozenset[Root]:
+        return frozenset(self.roots[i] for i in self.odd_at)
+
+    @cached_property
     def _view(self) -> _IntegerView:
-        return _IntegerView.of(self.roots, self.basis)
+        return _IntegerView.of(*(self._ints or _integers(self.roots)), self.basis)
+
+    def _position(self, r: Root) -> int:
+        i = self._view.find(r.coords)
+        if i is None or r.k or r.sigma:
+            raise NotARoot(f"{r} is not a member")
+        return i
 
     def parity(self, r: Root) -> str:
-        if r not in self:
-            raise NotARoot(f"{r} is not a member")
-        return ODD if r in self.odd else EVEN
+        return ODD if self._position(r) in self.odd_at else EVEN
 
     def norm(self, r: Root):
         i = self._view.find(r.coords)
@@ -298,10 +317,7 @@ class FiniteRootSet:
         )
 
     def kind(self, r: Root) -> str:
-        i = self._view.find(r.coords)
-        if i is None or r.k or r.sigma:
-            raise NotARoot(f"{r} is not a member")
-        return self.kinds[i]
+        return self.kinds[self._position(r)]
 
     def real_roots(self) -> tuple[Root, ...]:
         return tuple(r for r, kind in zip(self.roots, self.kinds) if kind == KIND_REAL)
@@ -338,18 +354,30 @@ class FiniteRootSet:
 
 def negation_closure(vectors) -> set[Root]:
     """The vectors together with their negatives."""
-    out = set()
-    for v in vectors:
-        out.add(v)
-        out.add(-v)
-    return out
+    return {w for v in vectors for w in (v, -v)}
 
 
-def _finish(type_id: FiniteTypeId, basis: AmbientBasis, vectors, odd, label: str = "") -> FiniteRootSet:
-    zero = Root(tuple(Q(0) for _ in range(basis.dim)))
-    allr = negation_closure([*vectors, zero])
-    ordered = tuple(sorted(allr, key=lambda r: r.key()))
-    return FiniteRootSet(type_id, basis, ordered, frozenset(negation_closure(odd)), label or type_id.token)
+def _finish(type_id: FiniteTypeId, basis: AmbientBasis, even, odd, denom: int = 1) -> FiniteRootSet:
+    """``even`` and ``odd`` (integer tuples over ``denom``), their negatives and zero.
+
+    ``denom`` is reduced to the members' least common denominator.  The
+    members sort as integer tuples, as a positive common scale keeps
+    ``Root.key`` order; each ``Root`` is made once, and the view gets the tuples.
+    """
+    g = gcd(denom, *(c for v in (*even, *odd) for c in v))
+    denom //= g
+    even, odd = ({tuple(s * c // g for c in v) for v in vs for s in (1, -1)} for vs in (even, odd))
+    coords = tuple(sorted(even | odd | {(0,) * basis.dim}))
+    qs = {c: Q(c, denom) for c in {c for x in coords for c in x}}
+    return FiniteRootSet(
+        type_id, basis, tuple(Root(tuple(map(qs.__getitem__, x))) for x in coords),
+        frozenset(i for i, x in enumerate(coords) if x in odd), type_id.token, (denom, coords),
+    )
+
+
+def _vector(dim: int, *terms: tuple[int, int]) -> tuple[int, ...]:
+    """The integer vector with coefficient c at index i, for each (i, c) in ``terms``."""
+    return tuple(sum(c for i, c in terms if i == k) for k in range(dim))
 
 
 def block_units(mb: int, nb: int) -> tuple[AmbientBasis, list[Root], list[Root]]:
@@ -369,24 +397,29 @@ def ann_block_traceless(basis: AmbientBasis, r: Root) -> Root:
     return Root(new, r.k, r.sigma)
 
 
-def gl_odd_vectors(basis: AmbientBasis, mb: int, traceless: bool = False):
+def gl_odd_coords(mb: int, dim: int, traceless: bool = False) -> list[tuple[int, ...]]:
     """The odd vectors e_i - d_j of the gl shape, whose first block has size mb.
 
-    Each comes once, oriented from the first block to the second; with
-    ``traceless`` it is projected to zero block-trace (equal blocks only).
+    Each comes once, oriented from the first block to the second, as an
+    integer tuple.  With ``traceless`` (equal blocks) it is projected to zero
+    block-trace and scaled by mb, which leaves -1 entries, so mb is the
+    members' least common denominator.
     """
-    for i in range(mb):
-        for j in range(mb, basis.dim):
-            v = basis.unit(i) - basis.unit(j)
-            yield ann_block_traceless(basis, v) if traceless else v
+    scale, shift = (mb, 1) if traceless else (1, 0)
+    return [
+        tuple(scale * ((k == i) - (k == j)) - (shift if k < mb else -shift) for k in range(dim))
+        for i in range(mb)
+        for j in range(mb, dim)
+    ]
 
 
 def _build_gl(type_id: FiniteTypeId, mb: int, nb: int, traceless: bool = False) -> FiniteRootSet:
-    """gl shape: the differences inside each block are even, e_i - d_j odd."""
-    basis, es, ds = block_units(mb, nb)
-    even = [a - b for block in (es, ds) for a, b in permutations(block, 2)]
-    odd = list(gl_odd_vectors(basis, mb, traceless))
-    return _finish(type_id, basis, even + odd, odd)
+    """gl shape: the differences inside each block are even, e_i - d_j odd;
+    over denominator mb when ``traceless``."""
+    dim, scale = mb + nb, mb if traceless else 1
+    blocks = (range(mb), range(mb, dim))
+    even = [_vector(dim, (a, scale), (b, -scale)) for bl in blocks for a, b in permutations(bl, 2)]
+    return _finish(type_id, eps_delta_basis(mb, nb), even, gl_odd_coords(mb, dim, traceless), scale)
 
 
 def _build_osp(type_id: FiniteTypeId, m: int, n: int) -> FiniteRootSet:
@@ -395,85 +428,41 @@ def _build_osp(type_id: FiniteTypeId, m: int, n: int) -> FiniteRootSet:
     Every family has e_i +- e_r, 2d_j and d_j +- d_s (even) and e_i +- d_j
     (odd).  B and BC add e_i (even) and d_j (odd); C and BC add 2e_i.
     """
-    fam = type_id.family
-    basis, es, ds = block_units(m, n)
-    vecs: list[Root] = []
-    odd: list[Root] = []
+    fam, dim = type_id.family, m + n
+    es, ds = range(m), range(m, dim)
     singles = fam in ("B", "BC")
-    for e in es:
-        if singles:
-            vecs.append(e)
-        if fam in ("C", "BC"):
-            vecs.append(e.scale(Q(2)))
-    for d in ds:
-        if singles:
-            vecs.append(d)
-            odd.append(d)
-        vecs.append(d.scale(Q(2)))
-    for block in (es, ds):
-        for a, b in combinations(block, 2):
-            vecs += [a + b, a - b]
-    for e, d in product(es, ds):
-        odd += [e + d, e - d]
-    return _finish(type_id, basis, vecs + odd, odd)
+    even = [_vector(dim, (e, 1)) for e in es if singles]
+    even += [_vector(dim, (e, 2)) for e in es if fam in ("C", "BC")]
+    even += [_vector(dim, (d, 2)) for d in ds]
+    pairs = [ab for block in (es, ds) for ab in combinations(block, 2)]
+    even += [_vector(dim, (a, 1), (b, s)) for a, b in pairs for s in (1, -1)]
+    odd = [_vector(dim, (d, 1)) for d in ds if singles]
+    odd += [_vector(dim, (e, 1), (d, s)) for e, d in product(es, ds) for s in (1, -1)]
+    return _finish(type_id, eps_delta_basis(m, n), even, odd)
 
 
 def _build_d21l() -> FiniteRootSet:
-    basis = d21_basis()
-    g1, g2, g3 = (basis.unit(i) for i in range(3))
-    vecs: list[Root] = []
-    odd: list[Root] = []
-    for g in (g1, g2, g3):
-        vecs.append(g.scale(Q(2)))
-    for s2 in (Q(1), Q(-1)):
-        for s3 in (Q(1), Q(-1)):
-            v = g1 + g2.scale(s2) + g3.scale(s3)
-            vecs.append(v)
-            odd.append(v)
-    return _finish(FiniteTypeId("D21L"), basis, vecs, odd)
+    even = [_vector(3, (i, 2)) for i in range(3)]
+    odd = [(1, s2, s3) for s2 in (1, -1) for s3 in (1, -1)]
+    return _finish(FiniteTypeId("D21L"), d21_basis(), even, odd)
 
 
 def _build_f4() -> FiniteRootSet:
-    basis = f4_basis()
-    e = basis.unit(0)
-    ds = [basis.unit(1 + i) for i in range(3)]
-    vecs: list[Root] = [e]
-    odd: list[Root] = []
-    for i in range(3):
-        vecs.append(ds[i])
-        for j in range(i + 1, 3):
-            vecs.append(ds[i] + ds[j])
-            vecs.append(ds[i] - ds[j])
-    half = Q(1, 2)
-    for s1 in (Q(1), Q(-1)):
-        for s2 in (Q(1), Q(-1)):
-            for s3 in (Q(1), Q(-1)):
-                v = (e + ds[0].scale(s1) + ds[1].scale(s2) + ds[2].scale(s3)).scale(half)
-                vecs.append(v)
-                odd.append(v)
-    return _finish(FiniteTypeId("F4"), basis, vecs, odd)
+    """Over denominator 2: e, d_i and d_i +- d_j even, (e +- d1 +- d2 +- d3)/2 odd."""
+    even = [_vector(4, (i, 2)) for i in range(4)]
+    for i, j in combinations(range(1, 4), 2):
+        even += [_vector(4, (i, 2), (j, 2)), _vector(4, (i, 2), (j, -2))]
+    odd = [(1, *signs) for signs in product((1, -1), repeat=3)]
+    return _finish(FiniteTypeId("F4"), f4_basis(), even, odd, 2)
 
 
 def _build_g3() -> FiniteRootSet:
-    basis = g3_basis()
-    es = [basis.unit(i) for i in range(3)]
-    nu = basis.unit(3)
-    vecs: list[Root] = [nu, nu.scale(Q(2))]
-    odd: list[Root] = [nu]
-    diffs = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                diffs.append(es[i] - es[j])
-    for d in diffs:
-        vecs.append(d)
-    for (i, j, t) in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        vecs.append(es[i].scale(Q(2)) - es[j] - es[t])
-    for d in diffs:
-        v = nu + d
-        vecs.append(v)
-        odd.append(v)
-    return _finish(FiniteTypeId("G3"), basis, vecs, odd)
+    """nu (odd) and 2nu; e_i - e_j and 2e_i - e_j - e_t (even); nu + e_i - e_j (odd)."""
+    diffs = [_vector(4, (i, 1), (j, -1)) for i, j in permutations(range(3), 2)]
+    even = [_vector(4, (3, 2)), *diffs]
+    even += [_vector(4, (i, 2), (j, -1), (t, -1)) for i, j, t in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    odd = [_vector(4, (3, 1)), *(d[:3] + (1,) for d in diffs)]
+    return _finish(FiniteTypeId("G3"), g3_basis(), even, odd)
 
 
 _EXCEPTIONAL = {"D21L": _build_d21l, "F4": _build_f4, "G3": _build_g3}
@@ -720,13 +709,11 @@ def irreducible_components(rs: FiniteRootSet) -> tuple[FiniteRootSet, ...]:
     Vectors orthogonal to everything are dropped; each component gets the
     zero vector adjoined and inherits the grading.
     """
-    table = rs._view.table
-    nodes = [
-        i for i, r in enumerate(rs.roots)
-        if not r.is_zero_vector() and not all(v.is_zero() for v in table[i])
-    ]
+    view = rs._view
+    coords, table = view.coords, view.table
+    nodes = [i for i, x in enumerate(coords) if any(x) and not all(v.is_zero() for v in table[i])]
     seen: set[int] = set()
-    comps: list[list[Root]] = []
+    comps: list[list[int]] = []
     for start in nodes:
         if start in seen:
             continue
@@ -734,25 +721,26 @@ def irreducible_components(rs: FiniteRootSet) -> tuple[FiniteRootSet, ...]:
         seen.add(start)
         while stack:
             cur = stack.pop()
-            comp.append(rs.roots[cur])
+            comp.append(cur)
             for other in nodes:
                 if other in seen:
                     continue
                 if not table[cur][other].is_zero():
                     seen.add(other)
                     stack.append(other)
-        comps.append(sorted(comp, key=lambda r: r.key()))
-    comps.sort(key=lambda c: c[0].key())
+        comps.append(comp)
+    # integer coordinates sort members as Root.key does; -1 stands for zero
+    comps.sort(key=lambda c: min(coords[i] for i in c))
     zero = Root(tuple(Q(0) for _ in range(rs.basis.dim)))
     out = []
     for idx, comp in enumerate(comps):
-        members = tuple(sorted(set(comp) | {zero}, key=lambda r: r.key()))
+        members = sorted([(coords[i], i) for i in comp] + [((0,) * rs.basis.dim, -1)])
         out.append(
             FiniteRootSet(
                 FiniteTypeId("PURE"),
                 rs.basis,
-                members,
-                frozenset(r for r in comp if r in rs.odd),
+                tuple(rs.roots[i] if i >= 0 else zero for _, i in members),
+                frozenset(p for p, (_, i) in enumerate(members) if i in rs.odd_at),
                 label=f"{rs.label}#{idx + 1}",
             )
         )

@@ -132,6 +132,8 @@ def anchored_class(system: AffineRootSystem, anchor: Root, cfg: dict) -> ClassSh
     The stored representative is always the canonical one, so when the
     anchor is the negative side the two sides swap places.
     """
+    if not isinstance(cfg, dict):
+        raise NotAShadowPattern(f"a class colouring is a JSON object, got {cfg!r}")
     family = cfg.get("family")
     rep, side = system.class_rep(anchor)
     full, none = IntegerSet.all(), IntegerSet.empty()

@@ -283,6 +283,33 @@ def test_window_reports_classify_each_line_once(token, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "token, lam", [("B,1,1", None), ("F4", None), ("G3", None), ("D21L", Q(5, 3)), ("A,2,2", None)]
+)
+def test_cold_line_table_sorts_and_hashes_no_root(token, lam, monkeypatch):
+    # the finite members are built, sorted and looked up as integer tuples,
+    # sigma options included, so a cold build and its line table never read
+    # Root.key or hash a Root; the Root is only the boundary
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("key", "__hash__"):
+        monkeypatch.setattr(Root, name, counted(getattr(Root, name)))
+    s = aff(token, lam)
+    s.lines, s.line_entries
+    window = list(s.window_entries(2))
+    assert calls == []
+    assert len(window) == 5 * len(s.lines)
+    # the counters do see a direct call
+    hash(s.lines[0]), s.lines[0].key()
+    assert calls == ["__hash__", "key"]
+
+
 def test_format():
     s = aff("B,1,1")
     assert s.format(root(1, -1, k=2)) == "e1-d1+2d"

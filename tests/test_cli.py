@@ -235,6 +235,19 @@ def test_shadow_validate_incomplete_config_exits_2(tmp_path):
     expect_usage_error("shadow-validate", "--type", "B,1,1", "--config", str(path))
 
 
+@pytest.mark.parametrize("config", [
+    {"classes": [{"rep": "-e1", "config": "up"}]},  # a colouring that is no object
+    {"classes": {"rep": "-e1"}},  # classes that are no list
+    [1, 2],  # a document that is no object
+], ids=["config-not-object", "classes-not-list", "document-not-object"])
+def test_shadow_validate_wrong_shaped_config_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    expect_usage_error("shadow-validate", "--type", "B,1,1", "--window", "1", "--config", str(path))
+    err = capsys.readouterr().err
+    assert "bad shadow configuration" in err and "Traceback" not in err
+
+
 def test_shadow_validate_class_coloured_twice_exits_2(capsys):
     # e1 and -e1 name one class; the config colours it up,0,0 and full_ln
     config = os.path.join(os.path.dirname(__file__), "golden", "shadow_b11_twice.json")

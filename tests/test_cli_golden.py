@@ -7,7 +7,9 @@ the calls and rewrites the file.  The calls cover every ``zeta`` scenario,
 on each affine family (both lambda modes of D21L), ``tables``, ``classify``
 on the nine tabulated types, wider ``build``/``export``/``tables`` windows,
 one uniform ``shadow-validate`` and three ``shadow-validate --config`` calls
-on the fixtures in ``golden/``, two of them violating.  Every call runs from
+on the fixtures in ``golden/``, two of them violating, and the types whose
+finite members the builders scale differently (``A,2,2``, ``D21L`` at
+lambda = 5/3, ``D,1,2`` and ``F4``).  Every call runs from
 ``golden/``, as the script records them.
 """
 from __future__ import annotations

@@ -22,12 +22,17 @@ The second number is the size of the odd part, negatives included: the
 mixed vectors (2pq, or 4mn for e_i +- d_j), plus 2n for the d_j of B and
 BC; 8, 16 and 14 for the exceptional families (G3: nu and nu + the six
 differences).
+
+The builders work in integer vectors over one denominator; the ``Fraction``
+builders they replaced are kept at the end of this file as the oracle for
+member order, grading and the integer view.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction as Q
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -52,8 +57,9 @@ from superroots import (
     root_string,
 )
 from superroots import roots
+from superroots.finite import ann_block_traceless, block_units, negation_closure
 from superroots.linalg import rank
-from superroots.roots import AmbientBasis, eps_delta_basis
+from superroots.roots import AmbientBasis, d21_basis, eps_delta_basis, f4_basis, g3_basis
 
 EXPECTED_COUNTS = {
     "A,2,1": (21, 12),  # blocks 3,2: 6 + 2 + 12
@@ -412,3 +418,119 @@ def test_axiom_check_pairs_no_root_twice(token, monkeypatch):
     alpha = rs.real_roots()[0]
     roots.cartan_integer(rs.basis, alpha, alpha)
     assert calls == ["cartan_integer", "form", "form"]
+
+
+# ---------------------------------------------------------------------------
+# the Fraction builders, kept as the oracle for the integer ones
+# ---------------------------------------------------------------------------
+
+
+def oracle_gl(mb, nb, traceless=False):
+    basis, es, ds = block_units(mb, nb)
+    even = [a - b for block in (es, ds) for a, b in permutations(block, 2)]
+    odd = [e - d for e in es for d in ds]
+    if traceless:
+        odd = [ann_block_traceless(basis, v) for v in odd]
+    return basis, even + odd, odd
+
+
+def oracle_osp(fam, m, n):
+    basis, es, ds = block_units(m, n)
+    vecs, odd = [], []
+    singles = fam in ("B", "BC")
+    for e in es:
+        if singles:
+            vecs.append(e)
+        if fam in ("C", "BC"):
+            vecs.append(e.scale(Q(2)))
+    for d in ds:
+        if singles:
+            vecs.append(d)
+            odd.append(d)
+        vecs.append(d.scale(Q(2)))
+    for block in (es, ds):
+        for a, b in combinations(block, 2):
+            vecs += [a + b, a - b]
+    for e, d in product(es, ds):
+        odd += [e + d, e - d]
+    return basis, vecs + odd, odd
+
+
+def oracle_d21l():
+    basis = d21_basis()
+    g1, g2, g3 = (basis.unit(i) for i in range(3))
+    vecs = [g.scale(Q(2)) for g in (g1, g2, g3)]
+    odd = [g1 + g2.scale(s2) + g3.scale(s3) for s2 in (Q(1), Q(-1)) for s3 in (Q(1), Q(-1))]
+    return basis, vecs + odd, odd
+
+
+def oracle_f4():
+    basis = f4_basis()
+    e = basis.unit(0)
+    ds = [basis.unit(1 + i) for i in range(3)]
+    vecs = [e]
+    for i in range(3):
+        vecs.append(ds[i])
+        for j in range(i + 1, 3):
+            vecs += [ds[i] + ds[j], ds[i] - ds[j]]
+    odd = [
+        (e + ds[0].scale(s1) + ds[1].scale(s2) + ds[2].scale(s3)).scale(Q(1, 2))
+        for s1 in (Q(1), Q(-1)) for s2 in (Q(1), Q(-1)) for s3 in (Q(1), Q(-1))
+    ]
+    return basis, vecs + odd, odd
+
+
+def oracle_g3():
+    basis = g3_basis()
+    es = [basis.unit(i) for i in range(3)]
+    nu = basis.unit(3)
+    diffs = [es[i] - es[j] for i in range(3) for j in range(3) if i != j]
+    vecs = [nu, nu.scale(Q(2)), *diffs]
+    vecs += [es[i].scale(Q(2)) - es[j] - es[t] for i, j, t in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    odd = [nu] + [nu + d for d in diffs]
+    return basis, vecs + odd[1:], odd
+
+
+def oracle_build(type_id):
+    """Today's builders and ``_finish`` in ``Fraction``s: (basis, roots, odd)."""
+    fam, m, n = type_id.family, type_id.m, type_id.n
+    basis, vectors, odd = (
+        oracle_gl(m + 1, n + 1) if fam == "A"
+        else oracle_gl(n + 1, n + 1, traceless=True) if fam == "ANN"
+        else oracle_gl(m, m) if fam == "S"
+        else oracle_osp("D", 1, n - 1) if fam == "CN"
+        else oracle_osp(fam, m, n) if fam in ("B", "C", "D", "BC")
+        else {"D21L": oracle_d21l, "F4": oracle_f4, "G3": oracle_g3}[fam]()
+    )
+    zero = Root(tuple(Q(0) for _ in range(basis.dim)))
+    ordered = tuple(sorted(negation_closure([*vectors, zero]), key=lambda r: r.key()))
+    return basis, ordered, frozenset(negation_closure(odd))
+
+
+#: the eleven finite families of ``golden/regen_cli.py``'s FINITE_TYPES, then
+#: A,2,2's traceless blocks over 3 and D21L at a rational lambda
+ORACLE_CASES = [
+    *((t, None) for t in (
+        "A,2,1", "A,1,1", "B,1,1", "C,3", "C,1,1", "D,2,1", "BC,1,1", "S,2", "F4", "G3", "D21L",
+    )),
+    ("A,2,2", None),
+    ("D21L", Q(5, 3)),
+]
+
+
+@pytest.mark.parametrize("token, lam", ORACLE_CASES, ids=[f"{t}-{lam}" for t, lam in ORACLE_CASES])
+def test_integer_builders_match_the_fraction_oracle(token, lam):
+    type_id = parse_type_token(token)
+    rs = build_finite(type_id) if lam is None else build_affine(type_id, lam).finite
+    _, roots, odd = oracle_build(type_id)
+    assert rs.roots == roots  # order included
+    assert rs.odd == odd
+    # the oracle's members, hand-built, convert their Fractions for the view
+    hand = FiniteRootSet(
+        type_id, rs.basis, roots, frozenset(i for i, r in enumerate(roots) if r in odd)
+    )
+    new, old = rs._view, hand._view
+    assert new.denom == old.denom
+    assert new.coords == old.coords
+    assert new.table == old.table
+    assert new.numer == old.numer

@@ -267,7 +267,7 @@ def scanned_contains(sys_, r: Root) -> bool:
         return c.sigma == 0
     if f not in sys_.finite.roots:
         return False
-    return c.sigma in sys_.sigma_options.get(f, (0,))
+    return c.sigma in sys_.sigma_options.get(sys_.finite._view.ints(f.coords), (0,))
 
 
 def scanned_classify(sys_, r: Root) -> str:
@@ -725,7 +725,8 @@ def test_axiom_e_failure_matches_pairwise_scan():
     b11 = build_finite(parse_type_token("B,1,1"))
     e1, d1 = root(1, 0), root(0, 1)
     kept = tuple(r for r in b11.roots if r not in (e1 - d1, d1 - e1))
-    rs = FiniteRootSet(FiniteTypeId("PURE"), b11.basis, kept, b11.odd & set(kept), "cut")
+    odd_at = frozenset(i for i, r in enumerate(kept) if r in b11.odd)
+    rs = FiniteRootSet(FiniteTypeId("PURE"), b11.basis, kept, odd_at, "cut")
     report = check_supersystem_axioms(rs)
     assert "e" in report.failed_axioms
     assert str(report) == scanned_axiom_report(rs)

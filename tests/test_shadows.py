@@ -179,6 +179,13 @@ def test_anchored_class_reads_back_through_config(token):
                 assert cs.config == read, (token, anchor, cfg)
 
 
+@pytest.mark.parametrize("cfg", ["up", ["up", 0, 1], None, 3])
+def test_anchored_class_refuses_a_colouring_that_is_no_object(cfg):
+    s = build_affine(parse_type_token("B,1,1"))
+    with pytest.raises(NotAShadowPattern, match="a class colouring is a JSON object"):
+        anchored_class(s, s.real_class_reps[0], cfg)
+
+
 def test_membership_examples_up_hybrid():
     s = b11()
     d1 = root(0, 1)
